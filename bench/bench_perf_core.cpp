@@ -5,6 +5,11 @@
 // The *_threads variants take the pool size as the second benchmark
 // argument, so `scripts/run_perf_bench.sh` records the scaling curve of
 // the parallel runtime alongside the single-threaded kernel numbers.
+//
+// Kernel benches time uncached work: a bench whose kernel sits behind a
+// content-hashed cache (docs/CACHING.md) pins the cache off for its run,
+// otherwise every iteration after the first would time a cache hit. The
+// JSON context records this as `dv_cache`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +28,7 @@
 #include "tensor/simd/simd.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/strong_lru.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -35,6 +41,16 @@ struct thread_arg {
     set_thread_count(static_cast<int>(n));
   }
   ~thread_arg() { set_thread_count(0); }
+};
+
+/// Turns the process-wide caches off for one benchmark run and restores
+/// the previous state after.
+struct cache_off {
+  cache_off() { set_cache_enabled(false); }
+  ~cache_off() { set_cache_enabled(was_on_); }
+  cache_off(const cache_off&) = delete;
+  cache_off& operator=(const cache_off&) = delete;
+  const bool was_on_{cache_enabled()};  // read before the ctor body runs
 };
 
 void bm_gemm_nn(benchmark::State& state) {
@@ -184,6 +200,7 @@ BENCHMARK(bm_kernel_matrix_threads)
 
 void bm_svm_decision_batch_threads(benchmark::State& state) {
   thread_arg threads{state.range(0)};
+  cache_off uncached;  // repeated queries would otherwise hit the cache
   rng gen{8};
   tensor samples = tensor::randn({300, 16}, gen);
   one_class_svm svm;
@@ -308,6 +325,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "dv_simd_dispatch_level",
       std::string{dv::simd_level_name(dv::active_simd_level())});
+  benchmark::AddCustomContext("dv_cache", "off in cached kernels");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (dv::metrics::enabled()) {

@@ -86,11 +86,14 @@ class deep_validator {
     return probe_indices_[static_cast<std::size_t>(i)];
   }
 
-  /// Decision threshold epsilon; images with joint discrepancy > epsilon are
-  /// flagged invalid.
+  /// Decision threshold epsilon; images with joint discrepancy > epsilon
+  /// (or NaN) are flagged invalid.
   void set_threshold(double epsilon) { threshold_ = epsilon; }
   double threshold() const { return threshold_; }
-  bool flags_invalid(double joint_d) const { return joint_d > threshold_; }
+  /// NaN-safe: a joint that is not <= epsilon (NaN included) is invalid.
+  bool flags_invalid(double joint_d) const {
+    return !(joint_d <= threshold_);
+  }
 
   bool fitted() const { return !validators_.empty(); }
 

@@ -110,7 +110,10 @@ class validator_bank_view {
   int spatial() const { return spatial_; }
   const batch_config& batching() const { return batch_; }
   double threshold() const { return threshold_; }
-  bool flags_invalid(double joint_d) const { return joint_d > threshold_; }
+  /// NaN-safe: a joint that is not <= epsilon (NaN included) is invalid.
+  bool flags_invalid(double joint_d) const {
+    return !(joint_d <= threshold_);
+  }
   const std::vector<layer_validator_view>& layers() const { return layers_; }
   /// The weighted combiner; weighted().valid() is false when the bank
   /// carries no weights.

@@ -2,13 +2,17 @@
 // monitor_service (docs/SERVING.md).
 //
 // Producers submit single [C,H,W] frames and get a std::future per frame.
-// A dedicated worker thread drains the bounded request queue in batches —
-// up to serve_config::batch.max_batch frames, or whatever arrived within
-// max_delay of the batch's first frame — stacks them into one [N,C,H,W]
-// tensor, and runs the batch function once. The heavy math inside the
-// batch function fans out on dv::thread_pool (parallel GEMM / per-image
-// scoring); the worker itself is a plain thread because the pool's
-// fork-join parallel_for regions cannot host a blocking queue consumer.
+// A dedicated worker thread drains the bounded request queue in batches:
+// it blocks for the first frame, takes whatever else is already queued (up
+// to serve_config::batch.max_batch frames), stacks them into one [N,C,H,W]
+// tensor, and runs the batch function once. Batching is work-conserving —
+// the worker never waits on a timer to fill a batch; under load, frames
+// queue up while the previous batch is scored, so batches grow on their
+// own. The worker is the only caller of the batch function, so it needs no
+// lock. The heavy math inside the batch function fans out on
+// dv::thread_pool (parallel GEMM / per-image scoring); the worker itself
+// is a plain thread because the pool's fork-join parallel_for regions
+// cannot host a blocking queue consumer.
 //
 // Lifecycle guarantees:
 //  - every accepted frame's future is completed (value or exception) —
@@ -68,9 +72,6 @@ class micro_batcher {
     if (config_.queue_capacity < 1) {
       throw std::invalid_argument{"micro_batcher: queue_capacity must be >= 1"};
     }
-    if (config_.max_delay.count() < 0) {
-      throw std::invalid_argument{"micro_batcher: max_delay must be >= 0"};
-    }
     worker_ = std::thread{[this] { worker_loop(); }};
   }
 
@@ -79,9 +80,9 @@ class micro_batcher {
   micro_batcher(const micro_batcher&) = delete;
   micro_batcher& operator=(const micro_batcher&) = delete;
 
-  /// Enqueues one [C,H,W] frame. Returns a future completed by the worker
-  /// (or inline under caller_runs overflow). Throws serve_rejected_error
-  /// (reject policy, queue full) or std::runtime_error (after shutdown).
+  /// Enqueues one [C,H,W] frame. Returns a future completed by the worker.
+  /// Throws serve_rejected_error (reject policy, queue full) or
+  /// std::runtime_error (after shutdown).
   std::future<Result> submit(tensor frame) {
     if (frame.dim() != 3) {
       throw std::invalid_argument{service_ +
@@ -116,18 +117,6 @@ class micro_batcher {
               metrics::count(labeled("dv_serve_rejected_total"));
             }
             throw serve_rejected_error{service_ + ": request queue full"};
-        }
-        break;
-      case overflow_policy::caller_runs:
-        switch (queue_.try_push(it)) {
-          case queue_push_result::ok:
-            break;
-          case queue_push_result::closed:
-            note_pending(-1);
-            throw std::runtime_error{service_ + ": submit after shutdown"};
-          case queue_push_result::full:
-            run_inline(it);
-            break;
         }
         break;
     }
@@ -189,50 +178,16 @@ class micro_batcher {
     }
   }
 
-  /// caller_runs overflow: score a batch of one on the submitting thread,
-  /// serialized with the worker (the model is not thread-safe). Scores
-  /// are batch-invariant, so the result is identical to the queued path.
-  // Same deliberate locks as score_batch (model serialization + the rare
-  // pending==0 notify).
-  // dv:hot-path(caller_runs overflow) dv-lint: allow(effect:acquires_lock)
-  void run_inline(item& it) {
-    if (metrics::enabled()) {
-      metrics::count(labeled("dv_serve_caller_runs_total"));
-    }
-    tensor frames{{1, it.frame.extent(0), it.frame.extent(1),
-                   it.frame.extent(2)}};
-    frames.set_sample(0, it.frame);
-    complete_batch_one(it, frames);
-  }
-
-  void complete_batch_one(item& it, const tensor& frames) {
-    std::vector<Result> results;
-    try {
-      std::lock_guard lock{score_mutex_};
-      results = fn_(frames);
-      if (results.size() != 1) {
-        throw std::logic_error{service_ + ": scorer returned wrong count"};
-      }
-    } catch (...) {
-      it.promise.set_exception(std::current_exception());
-      note_pending(-1);
-      return;
-    }
-    it.promise.set_value(std::move(results.front()));
-    note_pending(-1);
-  }
-
   // dv:thread-entry(dedicated batch worker thread started by the ctor)
   void worker_loop() {
     std::vector<item> batch;
-    while (queue_.pop_batch(batch, static_cast<std::size_t>(config_.batch.max_batch),
-                            config_.max_delay)) {
+    while (queue_.pop_batch(batch,
+                            static_cast<std::size_t>(config_.batch.max_batch))) {
       score_batch(batch);
     }
   }
 
-  // The remaining locks are deliberate: score_mutex_ serializes the
-  // non-thread-safe model, and note_pending's mutex is taken only on the
+  // The one lock is deliberate: note_pending's mutex is taken only on the
   // rare pending==0 transition.
   // dv:hot-path(per-batch worker path) dv-lint: allow(effect:acquires_lock)
   void score_batch(std::vector<item>& batch) {
@@ -259,7 +214,6 @@ class micro_batcher {
     }
     std::vector<Result> results;
     try {
-      std::lock_guard lock{score_mutex_};
       results = fn_(frames);
       if (results.size() != batch.size()) {
         throw std::logic_error{service_ + ": scorer returned wrong count"};
@@ -286,9 +240,6 @@ class micro_batcher {
   /// Started in the ctor; joinable()/join() race only against shutdown()
   /// itself, which shutdown_mutex_ serializes. dv:guarded-by(shutdown_mutex_)
   std::thread worker_;
-  /// Serializes batch-function invocations (worker vs. caller_runs) —
-  /// the model underneath is not safe for concurrent forwards.
-  std::mutex score_mutex_;
   std::mutex shutdown_mutex_;
   std::mutex pending_mutex_;
   std::condition_variable pending_cv_;

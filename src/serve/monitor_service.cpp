@@ -1,17 +1,8 @@
 #include "serve/monitor_service.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace dv {
-
-const serve_config& monitor_service::validated(const serve_config& config) {
-  if (config.on_full == overflow_policy::caller_runs) {
-    throw std::invalid_argument{
-        "monitor_service: caller_runs would reorder hysteresis updates"};
-  }
-  return config;
-}
 
 monitor_service::monitor_service(sequential& model, runtime_monitor& monitor,
                                  const serve_config& config)
@@ -21,7 +12,7 @@ monitor_service::monitor_service(sequential& model, runtime_monitor& monitor,
       monitor_{monitor},
       batcher_{"monitor",
                [this](const tensor& frames) { return score_and_apply(frames); },
-               validated(config)} {}
+               config} {}
 
 monitor_service::monitor_service(batch_scorer& scorer,
                                  runtime_monitor& monitor,
@@ -30,7 +21,7 @@ monitor_service::monitor_service(batch_scorer& scorer,
       monitor_{monitor},
       batcher_{"monitor",
                [this](const tensor& frames) { return score_and_apply(frames); },
-               validated(config)} {}
+               config} {}
 
 std::vector<monitor_verdict> monitor_service::score_and_apply(
     const tensor& frames) {

@@ -6,11 +6,10 @@
 // are bitwise identical to calling runtime_monitor::observe per frame in
 // the same order, for any max_batch and any DV_THREADS (ctest-enforced).
 //
-// caller_runs overflow is forbidden: it would apply a late frame's
-// hysteresis update ahead of queued earlier frames. Use block (lossless)
-// or reject (load shedding — a rejected frame simply never enters the
-// verdict stream). Submit and reset() must come from one producer thread;
-// the worker is the only other toucher of the monitor.
+// Overflow is block (lossless) or reject (load shedding — a rejected
+// frame simply never enters the verdict stream). Submit and reset() must
+// come from one producer thread; the worker is the only other toucher of
+// the monitor.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +51,6 @@ class monitor_service {
   std::size_t queue_depth() const { return batcher_.queue_depth(); }
 
  private:
-  static const serve_config& validated(const serve_config& config);
   std::vector<monitor_verdict> score_and_apply(const tensor& frames);
 
   std::unique_ptr<validator_scorer> owned_scorer_;

@@ -9,7 +9,6 @@
 // composition is purely a throughput knob.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,18 +31,12 @@ enum class overflow_policy {
   block,
   /// Throw serve_rejected_error immediately (load shedding).
   reject,
-  /// Score the frame inline on the caller's thread as a batch of one
-  /// (serialized with the worker — the model is not thread-safe). Only
-  /// valid for stateless scorers: the frame jumps the queue.
-  caller_runs,
 };
 
 struct serve_config {
-  /// Maximum frames coalesced into one evaluate call.
+  /// Maximum frames coalesced into one evaluate call. The worker never
+  /// waits to fill a batch: it scores whatever is queued when it is free.
   batch_config batch{};
-  /// How long the worker waits for more frames after the first one of a
-  /// batch arrives before flushing a partial batch.
-  std::chrono::microseconds max_delay{1000};
   /// Bound of the request queue — the backpressure knob.
   std::size_t queue_capacity{256};
   overflow_policy on_full{overflow_policy::block};
@@ -60,7 +53,7 @@ struct scoring_result {
   /// Joint discrepancy d = sum_i d_i (Equation 3).
   double joint{0.0};
   std::int64_t prediction{-1};
-  /// joint > validator threshold epsilon.
+  /// joint > validator threshold epsilon, or joint is NaN.
   bool invalid{false};
   /// Per validated layer discrepancy d_i.
   std::vector<double> per_layer;
@@ -76,8 +69,7 @@ struct scoring_result {
 };
 
 /// Scores a stacked [N,C,H,W] batch of frames. Implementations are called
-/// from the micro-batcher's worker thread (or, under caller_runs, from a
-/// producer thread — never concurrently; the batcher serializes calls).
+/// only from the micro-batcher's worker thread, so never concurrently.
 class batch_scorer {
  public:
   virtual ~batch_scorer() = default;
@@ -116,8 +108,8 @@ class validator_scorer : public batch_scorer {
   const weighted_joint_validator* weighted_{nullptr};
   std::vector<anomaly_detector*> detectors_;
   /// Strong-hash LRU over per-frame forward-pass products; score() runs
-  /// serialized (batcher worker or caller_runs under the batch mutex),
-  /// which is the single-mutator stream the cache requires.
+  /// only on the batcher worker, which is the single-mutator stream the
+  /// cache requires.
   std::unique_ptr<activation_cache> frame_cache_;
 };
 

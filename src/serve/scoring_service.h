@@ -1,6 +1,6 @@
 // Async scoring front end: single-frame submits, micro-batched execution
-// against a batch_scorer (docs/SERVING.md). Stateless per frame, so every
-// overflow policy — block, reject, caller_runs — is allowed.
+// against a batch_scorer (docs/SERVING.md). Stateless per frame; overflow
+// either blocks the producer or rejects the frame.
 #pragma once
 
 #include <cstddef>

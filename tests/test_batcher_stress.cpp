@@ -45,16 +45,15 @@ serve_config stress_config(int max_batch, std::size_t capacity,
   cfg.batch.max_batch = max_batch;
   cfg.queue_capacity = capacity;
   cfg.on_full = policy;
-  cfg.max_delay = std::chrono::microseconds{0};
   return cfg;
 }
 
 TEST(MicroBatcherStress, FlushRacesPendingTransitionToZero) {
-  // caller_runs + capacity 1 maximizes contention: the worker and every
-  // submitter decrement pending_, so the counter crosses zero from
-  // arbitrary threads while the flusher spins on it.
+  // Capacity 1 maximizes contention: every submitter parks on the full
+  // queue, the worker decrements pending_ per frame, and the counter
+  // crosses zero over and over while the flusher spins on it.
   micro_batcher<float> mb{"stress", first_pixel_fn(),
-                          stress_config(1, 1, overflow_policy::caller_runs)};
+                          stress_config(1, 1, overflow_policy::block)};
   constexpr int k_threads = 4;
   constexpr int k_frames = 200;
   std::atomic<bool> done{false};

@@ -1,6 +1,9 @@
 // Tests for the runtime fail-safe monitor and the environment-drift stream.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "augment/stream.h"
 #include "core/monitor.h"
 #include "eval/metrics.h"
@@ -250,6 +253,21 @@ TEST(Monitor, ApplyIsAPureStateMachineStep) {
   EXPECT_TRUE(monitor.apply({valid, 3}).alarm);    // one valid: still latched
   EXPECT_FALSE(monitor.apply({valid, 3}).alarm);   // release_count reached
   EXPECT_EQ(monitor.frames_seen(), 5);
+}
+
+TEST(Monitor, NanDiscrepancyFailsClosed) {
+  const auto& world = shared_tiny_world();
+  const auto& validator = fitted_validator();
+  runtime_monitor monitor{*world.model, validator};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto v = monitor.apply({nan, 0});
+  EXPECT_TRUE(v.frame_invalid);
+  // Both threshold tests (builder and bank view) agree.
+  EXPECT_TRUE(validator.flags_invalid(nan));
+  EXPECT_TRUE(validator.bank().flags_invalid(nan));
+  EXPECT_FALSE(validator.bank().flags_invalid(validator.threshold()));
+  EXPECT_TRUE(validator.bank().flags_invalid(
+      std::nextafter(validator.threshold(), 1e300)));
 }
 
 TEST(Monitor, BatchSpanningTriggerBoundaryLatchesMidBatch) {

@@ -1,8 +1,8 @@
 // Tests for the batch-first serving layer: the bounded queue primitive,
-// micro-batcher lifecycle (backpressure, rejection, caller-runs, shutdown
-// drain, scorer failure), and the hard determinism contract — verdicts
-// through the async micro-batched path are bitwise identical to the
-// sequential observe path for any max_batch and any thread count.
+// micro-batcher lifecycle (backpressure, rejection, shutdown drain, scorer
+// failure), and the hard determinism contract — verdicts through the async
+// micro-batched path are bitwise identical to the sequential observe path
+// for any max_batch and any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,10 +56,6 @@ class pixel_scorer : public batch_scorer {
  public:
   std::vector<scoring_result> score(const tensor& frames) override {
     const std::int64_t n = frames.extent(0);
-    {
-      std::lock_guard lock{mutex_};
-      batch_sizes_.push_back(n);
-    }
     std::vector<scoring_result> out(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
       const float pixel = frames.data()[i * 4];
@@ -69,29 +65,24 @@ class pixel_scorer : public batch_scorer {
     }
     return out;
   }
-
-  std::vector<std::int64_t> batch_sizes() {
-    std::lock_guard lock{mutex_};
-    return batch_sizes_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::int64_t> batch_sizes_;
 };
 
-/// pixel_scorer that parks inside score() until opened, so tests can fill
-/// the queue deterministically while the worker is busy.
-class gated_scorer : public pixel_scorer {
+/// Wraps a scorer and parks inside score() until opened, so tests can fill
+/// the queue deterministically while the worker is busy. Records the size
+/// of every batch it forwards.
+class gated_scorer : public batch_scorer {
  public:
+  explicit gated_scorer(batch_scorer& inner) : inner_{inner} {}
+
   std::vector<scoring_result> score(const tensor& frames) override {
     {
       std::unique_lock lock{mutex_};
       started_ = true;
+      batch_sizes_.push_back(frames.extent(0));
       cv_.notify_all();
       cv_.wait(lock, [this] { return open_; });
     }
-    return pixel_scorer::score(frames);
+    return inner_.score(frames);
   }
 
   void wait_until_scoring() {
@@ -105,11 +96,18 @@ class gated_scorer : public pixel_scorer {
     cv_.notify_all();
   }
 
+  std::vector<std::int64_t> batch_sizes() {
+    std::lock_guard lock{mutex_};
+    return batch_sizes_;
+  }
+
  private:
+  batch_scorer& inner_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool started_{false};
   bool open_{false};
+  std::vector<std::int64_t> batch_sizes_;
 };
 
 struct thread_count_guard {
@@ -125,9 +123,9 @@ TEST(BoundedQueue, PopBatchCoalescesUpToMaxItems) {
     ASSERT_EQ(q.try_push(v), queue_push_result::ok);
   }
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 3, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 3));
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  ASSERT_TRUE(q.pop_batch(batch, 3, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 3));
   EXPECT_EQ(batch, (std::vector<int>{3, 4}));
   EXPECT_EQ(q.size(), 0u);
 }
@@ -150,9 +148,9 @@ TEST(BoundedQueue, CloseDrainsThenSignalsDone) {
   }
   q.close();
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 10, 1ms));
+  ASSERT_TRUE(q.pop_batch(batch, 10));
   EXPECT_EQ(batch.size(), 3u);
-  EXPECT_FALSE(q.pop_batch(batch, 10, 1ms));  // closed and empty
+  EXPECT_FALSE(q.pop_batch(batch, 10));  // closed and empty
 }
 
 TEST(BoundedQueue, BlockingPushUnblocksWhenConsumerDrains) {
@@ -164,10 +162,10 @@ TEST(BoundedQueue, BlockingPushUnblocksWhenConsumerDrains) {
     EXPECT_TRUE(q.push(second));  // blocks until the pop below
   }};
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 1, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 1));
   EXPECT_EQ(batch, (std::vector<int>{1}));
   producer.join();
-  ASSERT_TRUE(q.pop_batch(batch, 1, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 1));
   EXPECT_EQ(batch, (std::vector<int>{2}));
 }
 
@@ -179,7 +177,7 @@ TEST(BoundedQueue, PopBatchWaitsForFirstItem) {
     (void)q.push(v);
   }};
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 4, 0ns));  // blocks for the first item
+  ASSERT_TRUE(q.pop_batch(batch, 4));  // blocks for the first item
   EXPECT_EQ(batch, (std::vector<int>{7}));
   producer.join();
 }
@@ -187,13 +185,11 @@ TEST(BoundedQueue, PopBatchWaitsForFirstItem) {
 // -- scoring_service lifecycle ---------------------------------------------
 
 serve_config stub_config(int max_batch, std::size_t capacity,
-                         overflow_policy policy,
-                         std::chrono::microseconds delay = 1000us) {
+                         overflow_policy policy) {
   serve_config cfg;
   cfg.batch.max_batch = max_batch;
   cfg.queue_capacity = capacity;
   cfg.on_full = policy;
-  cfg.max_delay = delay;
   return cfg;
 }
 
@@ -209,8 +205,9 @@ TEST(ScoringService, CompletesEveryFutureWithItsOwnResult) {
 }
 
 TEST(ScoringService, CoalescesQueuedFramesIntoOneBatch) {
-  gated_scorer scorer;
-  scoring_service svc{scorer, stub_config(8, 16, overflow_policy::block, 500us)};
+  pixel_scorer pixels;
+  gated_scorer scorer{pixels};
+  scoring_service svc{scorer, stub_config(8, 16, overflow_policy::block)};
   std::vector<std::future<scoring_result>> futures;
   futures.push_back(svc.submit(tagged_frame(0)));
   scorer.wait_until_scoring();  // worker busy with the batch {0}
@@ -225,8 +222,9 @@ TEST(ScoringService, CoalescesQueuedFramesIntoOneBatch) {
 }
 
 TEST(ScoringService, RejectPolicyThrowsWhenQueueIsFull) {
-  gated_scorer scorer;
-  scoring_service svc{scorer, stub_config(1, 2, overflow_policy::reject, 0us)};
+  pixel_scorer pixels;
+  gated_scorer scorer{pixels};
+  scoring_service svc{scorer, stub_config(1, 2, overflow_policy::reject)};
   auto first = svc.submit(tagged_frame(0));
   scorer.wait_until_scoring();  // worker parked; queue now empty
   auto second = svc.submit(tagged_frame(1));
@@ -239,22 +237,10 @@ TEST(ScoringService, RejectPolicyThrowsWhenQueueIsFull) {
   svc.shutdown();
 }
 
-TEST(ScoringService, CallerRunsOverflowStillScoresCorrectly) {
-  pixel_scorer scorer;
-  scoring_service svc{scorer,
-                      stub_config(1, 1, overflow_policy::caller_runs, 0us)};
-  std::vector<std::future<scoring_result>> futures;
-  for (int i = 0; i < 30; ++i) futures.push_back(svc.submit(tagged_frame(i)));
-  for (int i = 0; i < 30; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().joint, i);
-  }
-  svc.shutdown();
-}
-
 TEST(ScoringService, ShutdownDrainsAcceptedFrames) {
   pixel_scorer scorer;
   auto svc = std::make_unique<scoring_service>(
-      scorer, stub_config(4, 64, overflow_policy::block, 2000us));
+      scorer, stub_config(4, 64, overflow_policy::block));
   std::vector<std::future<scoring_result>> futures;
   for (int i = 0; i < 32; ++i) futures.push_back(svc->submit(tagged_frame(i)));
   svc->shutdown();  // must complete every accepted future
@@ -269,7 +255,7 @@ TEST(ScoringService, ShutdownDrainsAcceptedFrames) {
 
 TEST(ScoringService, ScorerFailureReachesTheFutureAndWorkerSurvives) {
   pixel_scorer scorer;
-  scoring_service svc{scorer, stub_config(1, 8, overflow_policy::block, 0us)};
+  scoring_service svc{scorer, stub_config(1, 8, overflow_policy::block)};
   auto bad = svc.submit(tagged_frame(-1.0f));
   EXPECT_THROW((void)bad.get(), std::runtime_error);
   auto good = svc.submit(tagged_frame(5));
@@ -309,7 +295,7 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
   validator_scorer scorer{*world.model, validator};
   scorer.attach_weighted(weighted);
   scorer.attach_detector(adapter);
-  scoring_service svc{scorer, stub_config(4, 16, overflow_policy::block, 500us)};
+  scoring_service svc{scorer, stub_config(4, 16, overflow_policy::block)};
   std::vector<std::future<scoring_result>> futures;
   for (std::int64_t i = 0; i < 10; ++i) {
     futures.push_back(svc.submit(images.sample(i)));
@@ -342,6 +328,10 @@ std::vector<tensor> mixed_frame_stream() {
     frames.push_back(apply_chain(world.test.images.sample(i), invert));
   }
   for (int i = 17; i < 24; ++i) frames.push_back(world.test.images.sample(i));
+  for (int i = 24; i < 31; ++i) {
+    frames.push_back(apply_chain(world.test.images.sample(i), invert));
+  }
+  for (int i = 31; i < 40; ++i) frames.push_back(world.test.images.sample(i));
   return frames;
 }
 
@@ -355,7 +345,9 @@ monitor_config serving_monitor_config() {
 
 /// The acceptance test: sequential observe vs. submit through the
 /// micro-batcher must be bitwise identical for every max_batch x threads
-/// combination — batch composition and queue timing must not matter.
+/// combination — batch composition and queue timing must not matter. The
+/// first frame's batch is held until every other frame is queued, so the
+/// rest is scored in full batches of max_batch.
 TEST(MonitorService, BitwiseIdenticalToSequentialObserve) {
   const auto& world = shared_tiny_world();
   const auto frames = mixed_frame_stream();
@@ -373,13 +365,17 @@ TEST(MonitorService, BitwiseIdenticalToSequentialObserve) {
     for (const int max_batch : {1, 4, 32}) {
       set_thread_count(threads);
       runtime_monitor monitor{*world.model, fitted_validator(), mc};
-      serve_config cfg;
-      cfg.batch.max_batch = max_batch;
-      cfg.max_delay = 2000us;
-      cfg.queue_capacity = 64;
-      monitor_service svc{*world.model, monitor, cfg};
+      validator_scorer inner{*world.model, fitted_validator()};
+      gated_scorer scorer{inner};
+      monitor_service svc{scorer, monitor,
+                          stub_config(max_batch, 64, overflow_policy::block)};
       std::vector<std::future<monitor_verdict>> futures;
-      for (const auto& frame : frames) futures.push_back(svc.submit(frame));
+      futures.push_back(svc.submit(frames.front()));
+      scorer.wait_until_scoring();  // worker holds the batch {frame 0}
+      for (std::size_t i = 1; i < frames.size(); ++i) {
+        futures.push_back(svc.submit(frames[i]));
+      }
+      scorer.open();
       for (std::size_t i = 0; i < frames.size(); ++i) {
         const auto v = futures[i].get();
         EXPECT_EQ(v.discrepancy, expected[i].discrepancy)
@@ -392,6 +388,15 @@ TEST(MonitorService, BitwiseIdenticalToSequentialObserve) {
       svc.shutdown();
       EXPECT_EQ(monitor.frames_seen(),
                 static_cast<std::int64_t>(frames.size()));
+      // Everything after frame 0 was queued before the worker was freed,
+      // so it drains in full batches of max_batch plus one remainder.
+      std::vector<std::int64_t> sizes{1};
+      for (auto left = static_cast<std::int64_t>(frames.size()) - 1;
+           left > 0; left -= max_batch) {
+        sizes.push_back(std::min<std::int64_t>(left, max_batch));
+      }
+      EXPECT_EQ(scorer.batch_sizes(), sizes)
+          << "threads=" << threads << " max_batch=" << max_batch;
     }
   }
 }
@@ -412,7 +417,7 @@ TEST(MonitorService, ResetWithRequestsInFlight) {
   };
   invalid_scorer scorer;
   monitor_service svc{scorer, monitor,
-                      stub_config(4, 64, overflow_policy::block, 2000us)};
+                      stub_config(4, 64, overflow_policy::block)};
   std::vector<std::future<monitor_verdict>> futures;
   for (int i = 0; i < 8; ++i) futures.push_back(svc.submit(tagged_frame(i)));
   svc.reset();  // drains the in-flight frames, then clears the monitor
@@ -426,15 +431,6 @@ TEST(MonitorService, ResetWithRequestsInFlight) {
   EXPECT_TRUE(svc.submit(tagged_frame(0)).get().frame_invalid);
   EXPECT_EQ(monitor.frames_seen(), 1);
   svc.shutdown();
-}
-
-TEST(MonitorService, CallerRunsPolicyIsRejectedAtConstruction) {
-  const auto& world = shared_tiny_world();
-  runtime_monitor monitor{*world.model, fitted_validator()};
-  serve_config cfg;
-  cfg.on_full = overflow_policy::caller_runs;
-  EXPECT_THROW((monitor_service{*world.model, monitor, cfg}),
-               std::invalid_argument);
 }
 
 }  // namespace
