@@ -322,49 +322,35 @@ dup_result run_duplicate(bench_world& w, const deep_validator& validator,
   return out;
 }
 
-/// Cold-start path (docs/SNAPSHOTS.md): artifact on disk -> loaded bank
-/// -> first verdict, for the legacy binary format vs the flat snapshot
-/// under both I/O paths. Best-of-reps, so the numbers compare the loaders
-/// rather than first-touch page-cache noise.
+/// Cold-start path (docs/SNAPSHOTS.md): snapshot on disk -> loaded bank
+/// -> first verdict. Best-of-reps, so the numbers time the loader rather
+/// than first-touch page-cache noise.
 struct cold_start_result {
-  std::string mode;
   std::uint64_t artifact_bytes{0};
   double load_ms{0.0};
   double first_verdict_ms{0.0};
   double total_ms{0.0};
 };
 
-cold_start_result run_cold_start(bench_world& w, const std::string& mode,
-                                 const std::string& path,
+cold_start_result run_cold_start(bench_world& w, const std::string& path,
                                  const tensor& frame_batch) {
   constexpr int kReps = 5;
   cold_start_result out;
-  out.mode = mode;
   out.artifact_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(path));
   out.load_ms = out.first_verdict_ms = out.total_ms = 1e300;
-  const bool legacy = mode == "legacy_bin";
-  set_snapshot_mmap(mode != "snapshot_buffered");
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = clock_type::now();
-    clock_type::time_point t1;
-    if (legacy) {
-      const deep_validator validator = deep_validator::load(path);
-      t1 = clock_type::now();
-      (void)validator.bank().evaluate(*w.model, frame_batch);
-    } else {
-      const auto bank =
-          validator_bank_view::from_snapshot(snapshot_view::open(path));
-      t1 = clock_type::now();
-      (void)bank.evaluate(*w.model, frame_batch);
-    }
+    const auto bank =
+        validator_bank_view::from_snapshot(snapshot_view::open(path));
+    const auto t1 = clock_type::now();
+    (void)bank.evaluate(*w.model, frame_batch);
     const auto t2 = clock_type::now();
     out.load_ms = std::min(out.load_ms, seconds_between(t0, t1) * 1000.0);
     out.first_verdict_ms =
         std::min(out.first_verdict_ms, seconds_between(t1, t2) * 1000.0);
     out.total_ms = std::min(out.total_ms, seconds_between(t0, t2) * 1000.0);
   }
-  set_snapshot_mmap(true);
   return out;
 }
 
@@ -373,8 +359,7 @@ void write_json(const char* path, int n_frames, int dv_threads,
                 const std::vector<scenario_result>& scenarios,
                 std::int64_t dup_repeat,
                 const std::vector<dup_result>& dup_runs,
-                double dup_paced_fps_ratio,
-                const std::vector<cold_start_result>& cold_runs) {
+                double dup_paced_fps_ratio, const cold_start_result& cold) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", path);
@@ -429,19 +414,13 @@ void write_json(const char* path, int n_frames, int dv_threads,
         r.worker.mean_batch, i + 1 < dup_runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
-  std::fprintf(f, "  \"cold_start\": {\"reps\": 5, \"runs\": [\n");
-  for (std::size_t i = 0; i < cold_runs.size(); ++i) {
-    const auto& c = cold_runs[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"artifact_bytes\": %llu, "
-                 "\"load_ms\": %.3f, \"first_verdict_ms\": %.3f, "
-                 "\"total_ms\": %.3f}%s\n",
-                 c.mode.c_str(),
-                 static_cast<unsigned long long>(c.artifact_bytes), c.load_ms,
-                 c.first_verdict_ms, c.total_ms,
-                 i + 1 < cold_runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]}\n}\n");
+  std::fprintf(f,
+               "  \"cold_start\": {\"reps\": 5, \"runs\": [\n"
+               "    {\"mode\": \"snapshot\", \"artifact_bytes\": %llu, "
+               "\"load_ms\": %.3f, \"first_verdict_ms\": %.3f, "
+               "\"total_ms\": %.3f}\n  ]}\n}\n",
+               static_cast<unsigned long long>(cold.artifact_bytes),
+               cold.load_ms, cold.first_verdict_ms, cold.total_ms);
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
@@ -570,38 +549,27 @@ int main() {
               dup_table.render().c_str());
   std::printf("paced fps ratio cache on/off: %.2fx\n", dup_ratio);
 
-  // Cold start: artifact on disk -> first verdict, legacy binary loader
-  // vs flat snapshot (mapped and buffered I/O paths).
-  const std::string cold_dir =
-      std::filesystem::temp_directory_path().string() + "/";
-  const std::string legacy_path = cold_dir + "bench-serve-cold.bin";
-  const std::string snap_path = cold_dir + "bench-serve-cold.dvsnap";
-  validator.save(legacy_path);
+  // Cold start: snapshot on disk -> first verdict.
+  const std::string snap_path =
+      std::filesystem::temp_directory_path().string() +
+      "/bench-serve-cold.dvsnap";
   validator.save_snapshot(snap_path);
   tensor first_frame{{1, 1, 28, 28}};
   first_frame.set_sample(0, w.test.images.sample(0));
-  std::vector<cold_start_result> cold_runs;
-  cold_runs.push_back(
-      run_cold_start(w, "legacy_bin", legacy_path, first_frame));
-  cold_runs.push_back(
-      run_cold_start(w, "snapshot_mmap", snap_path, first_frame));
-  cold_runs.push_back(
-      run_cold_start(w, "snapshot_buffered", snap_path, first_frame));
+  const cold_start_result cold = run_cold_start(w, snap_path, first_frame);
 
-  text_table cold_table{{"Mode", "Artifact (KiB)", "Load (ms)",
-                         "First verdict (ms)", "Total (ms)"}};
-  for (const auto& c : cold_runs) {
-    cold_table.add_row(
-        {c.mode,
-         text_table::fmt(static_cast<double>(c.artifact_bytes) / 1024.0, 1),
-         text_table::fmt(c.load_ms, 3), text_table::fmt(c.first_verdict_ms, 3),
-         text_table::fmt(c.total_ms, 3)});
-  }
-  std::printf("\ncold start (artifact -> first verdict, best of 5):\n%s",
+  text_table cold_table{{"Artifact (KiB)", "Load (ms)", "First verdict (ms)",
+                         "Total (ms)"}};
+  cold_table.add_row(
+      {text_table::fmt(static_cast<double>(cold.artifact_bytes) / 1024.0, 1),
+       text_table::fmt(cold.load_ms, 3),
+       text_table::fmt(cold.first_verdict_ms, 3),
+       text_table::fmt(cold.total_ms, 3)});
+  std::printf("\ncold start (snapshot -> first verdict, best of 5):\n%s",
               cold_table.render().c_str());
 
   write_json("BENCH_serve.json", kFrames, thread_count(), baseline_fps,
              baseline_latency, scenarios, dup_repeat, dup_runs, dup_ratio,
-             cold_runs);
+             cold);
   return 0;
 }

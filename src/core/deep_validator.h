@@ -11,8 +11,8 @@
 // deep_validator is the mutable BUILDER (fit/refit/threshold); scoring is
 // implemented once in core/validator_bank.h's validator_bank_view, which
 // this class delegates to via bank(). save_snapshot()/load_snapshot()
-// round-trip through the flat snapshot format (docs/SNAPSHOTS.md); the
-// legacy binary_writer save()/load() remain for old artifacts.
+// round-trip through the flat snapshot format (docs/SNAPSHOTS.md), the
+// one on-disk bank format.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,12 @@ class deep_validator {
 
   /// Read-only bank view over the owned storage — the scoring surface
   /// this class delegates to. Valid while this object is alive and
-  /// unmodified; requires a fitted validator.
-  validator_bank_view bank() const;
+  /// unmodified (no refit, no set_threshold: the view copies the
+  /// threshold); requires a fitted validator. `weighted`, when non-null
+  /// and fitted, becomes the bank's weighted-joint combiner exactly as
+  /// save_snapshot embeds it, and must outlive the view as well.
+  validator_bank_view bank(
+      const weighted_joint_validator* weighted = nullptr) const;
 
   /// Batching configuration captured at fit time.
   const batch_config& batching() const { return batch_; }
@@ -96,9 +100,6 @@ class deep_validator {
   }
 
   bool fitted() const { return !validators_.empty(); }
-
-  void save(const std::string& path) const;
-  static deep_validator load(const std::string& path);
 
   /// Writes the fitted bank as a flat snapshot (docs/SNAPSHOTS.md).
   /// `weighted`, when non-null and fitted, embeds the weighted-joint

@@ -4,7 +4,7 @@
 //
 // Split into builder and view (DESIGN.md §16): `layer_validator` owns the
 // fitted scaler and SVMs; `layer_validator_view` borrows their storage —
-// from the builder or from a mapped snapshot — and carries the single
+// from the builder or from a loaded snapshot — and carries the single
 // discrepancy implementation both paths share.
 #pragma once
 
@@ -89,9 +89,6 @@ class layer_validator {
   bool fitted() const { return !svms_.empty(); }
   int num_classes() const { return static_cast<int>(svms_.size()); }
   std::int64_t dimension() const { return scaler_.dimension(); }
-
-  void save(binary_writer& w) const;
-  static layer_validator load(binary_reader& r);
 
   /// Writes the fitted state as snapshot sections under `prefix`:
   /// scaler/{mean,istd}, meta_i, and c<k>/... per class

@@ -5,7 +5,7 @@
 // deep_validator — per-layer validators, probe indices, the decision
 // threshold, the batching knob, and (optionally) the weighted-joint
 // combiner — borrowed either from a live deep_validator (via
-// deep_validator::bank()) or zero-copy out of a mapped flat snapshot
+// deep_validator::bank()) or zero-copy out of a loaded flat snapshot
 // (util/flat_snapshot.h). Both construction paths run the SAME scoring
 // code, so a snapshot-backed bank is bitwise identical to the fitted
 // in-memory bank for any DV_THREADS / DV_SIMD / DV_CACHE setting.
@@ -69,7 +69,7 @@ class weighted_joint_view {
 
 /// Read-only scoring surface over one fitted validator bank; see the file
 /// comment for the ownership model. Valid while the storage owner is
-/// alive: for snapshot-backed banks the view keeps the mapping alive via
+/// alive: for snapshot-backed banks the view keeps the snapshot image alive via
 /// shared_ptr, for builder-backed banks the deep_validator must outlive
 /// the view.
 class validator_bank_view {
@@ -82,8 +82,8 @@ class validator_bank_view {
                       std::shared_ptr<const snapshot_view> snap = nullptr);
 
   /// Zero-copy bank over a validated snapshot: the support-vector
-  /// matrices, scaler rows, and weights stay inside the mapping, which
-  /// the returned bank keeps alive. Throws serialize_error on any
+  /// matrices, scaler rows, and weights stay inside the snapshot image,
+  /// which the returned bank keeps alive. Throws serialize_error on any
   /// missing or inconsistent section.
   static validator_bank_view from_snapshot(
       std::shared_ptr<const snapshot_view> snap);
@@ -130,7 +130,7 @@ class validator_bank_view {
   batch_config batch_{};
   double threshold_{0.0};
   weighted_joint_view weighted_;
-  /// Keeps the mapped file alive for snapshot-backed banks.
+  /// Keeps the snapshot image alive for snapshot-backed banks.
   std::shared_ptr<const snapshot_view> snap_;
 };
 

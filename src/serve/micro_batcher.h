@@ -1,5 +1,4 @@
-// Async micro-batcher: the engine under scoring_service and
-// monitor_service (docs/SERVING.md).
+// Async micro-batcher: the engine under monitor_service (docs/SERVING.md).
 //
 // Producers submit single [C,H,W] frames and get a std::future per frame.
 // A dedicated worker thread drains the bounded request queue in batches:

@@ -7,22 +7,15 @@
 namespace dv {
 
 validator_scorer::validator_scorer(sequential& model,
-                                   const deep_validator& validator)
-    : model_{model}, validator_{validator} {
-  if (!validator_.fitted()) {
-    throw std::logic_error{"validator_scorer: validator not fitted"};
-  }
-  if (cache_enabled()) {
-    frame_cache_ = std::make_unique<activation_cache>();
-  }
-}
+                                   const engine_handle& handle)
+    : model_{model}, handle_{&handle} {}
 
-void validator_scorer::attach_weighted(
-    const weighted_joint_validator& weighted) {
-  if (!weighted.fitted()) {
-    throw std::logic_error{"validator_scorer: weighted combiner not fitted"};
-  }
-  weighted_ = &weighted;
+validator_scorer::validator_scorer(sequential& model,
+                                   const deep_validator& validator)
+    : model_{model},
+      owned_handle_{std::make_unique<engine_handle>()},
+      handle_{owned_handle_.get()} {
+  owned_handle_->publish(validator.bank());
 }
 
 void validator_scorer::attach_detector(anomaly_detector& detector) {
@@ -30,67 +23,29 @@ void validator_scorer::attach_detector(anomaly_detector& detector) {
 }
 
 std::vector<scoring_result> validator_scorer::score(const tensor& frames) {
+  // Pin the current bank ONCE for the whole batch: a publish() racing
+  // with this call either lands before the load (whole batch on the new
+  // generation) or after (whole batch on the old one, kept alive by this
+  // shared_ptr) — never a mix.
+  const std::shared_ptr<const published_bank> current = handle_->current();
+  if (current == nullptr) {
+    throw std::logic_error{"validator_scorer: no bank published yet"};
+  }
+  const validator_bank_view& bank = current->bank;
   // The one shared forward pass for the whole fan-out; repeated frames
   // come out of the activation cache instead (docs/CACHING.md).
   const activation_batch acts =
       extract_activations_cached(model_, frames, frame_cache_.get());
-  const auto s = validator_.evaluate(acts);
+  const auto s = bank.evaluate(acts);
 
-  std::vector<double> weighted;
-  if (weighted_ != nullptr) {
-    weighted = weighted_->score_batch(validator_, acts);
-  }
   std::vector<std::vector<double>> detector_scores(detectors_.size());
   for (std::size_t d = 0; d < detectors_.size(); ++d) {
     detector_scores[d] = detectors_[d]->score_activations(acts);
   }
 
-  const std::size_t n = s.joint.size();
-  std::vector<scoring_result> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& row = out[i];
-    row.joint = s.joint[i];
-    row.prediction = s.predictions[i];
-    row.invalid = validator_.flags_invalid(row.joint);
-    row.per_layer.reserve(s.per_layer.size());
-    for (const auto& layer : s.per_layer) row.per_layer.push_back(layer[i]);
-    row.detector_scores.reserve(detectors_.size());
-    for (const auto& scores : detector_scores) {
-      row.detector_scores.push_back(scores[i]);
-    }
-    if (weighted_ != nullptr) {
-      row.weighted = weighted[i];
-      row.has_weighted = true;
-    }
-  }
-  return out;
-}
-
-engine_scorer::engine_scorer(sequential& model, const engine_handle& handle)
-    : model_{model}, handle_{handle} {
-  if (cache_enabled()) {
-    frame_cache_ = std::make_unique<activation_cache>();
-  }
-}
-
-std::vector<scoring_result> engine_scorer::score(const tensor& frames) {
-  // Pin the current bank ONCE for the whole batch: a publish() racing
-  // with this call either lands before the load (whole batch on the new
-  // generation) or after (whole batch on the old one, kept alive by this
-  // shared_ptr) — never a mix.
-  const std::shared_ptr<const published_bank> current = handle_.current();
-  if (current == nullptr) {
-    throw std::logic_error{"engine_scorer: no bank published yet"};
-  }
-  const validator_bank_view& bank = current->bank;
-  const activation_batch acts =
-      extract_activations_cached(model_, frames, frame_cache_.get());
-  const auto s = bank.evaluate(acts);
-
   const bool has_weighted = bank.weighted().valid();
   const std::size_t n = s.joint.size();
   std::vector<scoring_result> out(n);
-  std::vector<double> row_buffer(s.per_layer.size());
   for (std::size_t i = 0; i < n; ++i) {
     auto& row = out[i];
     row.joint = s.joint[i];
@@ -99,11 +54,12 @@ std::vector<scoring_result> engine_scorer::score(const tensor& frames) {
     row.generation = current->generation;
     row.per_layer.reserve(s.per_layer.size());
     for (const auto& layer : s.per_layer) row.per_layer.push_back(layer[i]);
+    row.detector_scores.reserve(detectors_.size());
+    for (const auto& scores : detector_scores) {
+      row.detector_scores.push_back(scores[i]);
+    }
     if (has_weighted) {
-      for (std::size_t l = 0; l < s.per_layer.size(); ++l) {
-        row_buffer[l] = s.per_layer[l][i];
-      }
-      row.weighted = bank.weighted().decision(row_buffer);
+      row.weighted = bank.weighted().decision(row.per_layer);
       row.has_weighted = true;
     }
   }

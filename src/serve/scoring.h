@@ -18,7 +18,6 @@
 #include "core/activation_cache.h"
 #include "core/batch_config.h"
 #include "core/deep_validator.h"
-#include "core/weighted_joint.h"
 #include "detect/detector.h"
 #include "serve/engine_handle.h"
 #include "tensor/tensor.h"
@@ -62,8 +61,8 @@ struct scoring_result {
   /// Weighted joint score; meaningful only when has_weighted.
   double weighted{0.0};
   bool has_weighted{false};
-  /// Generation of the published bank that scored this frame (0 when the
-  /// scorer is not engine-backed; see serve/engine_handle.h). Every
+  /// Generation of the published bank that scored this frame (1 for a
+  /// fixed-bank validator_scorer; see serve/engine_handle.h). Every
   /// frame of one batch carries the same generation.
   std::uint64_t generation{0};
 };
@@ -80,17 +79,30 @@ class batch_scorer {
   virtual std::vector<scoring_result> score(const tensor& frames) = 0;
 };
 
-/// The production scorer: one activation extraction per batch, fanned out
-/// to the deep validator and every attached consumer.
+/// The one production scorer: one activation extraction per batch, fanned
+/// out to the bank an engine_handle publishes (serve/engine_handle.h) and
+/// every attached detector. The bank is pinned ONCE per batch — every
+/// frame of a batch scores against one generation, and a publish between
+/// batches never drains the queue. Weighted scores come from the bank's
+/// combiner when it carries one (deep_validator::bank(&weighted) or a
+/// snapshot written with one). When caching is on, a handle must not be
+/// shared by two concurrently scoring services (docs/SNAPSHOTS.md): the
+/// bank's decision caches assume the serialized scoring stream one
+/// micro_batcher provides.
 class validator_scorer : public batch_scorer {
  public:
-  /// `model` and `validator` must outlive the scorer; the validator must
-  /// be fitted.
+  /// Hot-swappable bank: `model` and `handle` must outlive the scorer.
+  /// The handle may be empty at construction; score() before the first
+  /// publish throws.
+  validator_scorer(sequential& model, const engine_handle& handle);
+
+  /// Fixed bank: publishes `validator.bank()` once into a handle the
+  /// scorer owns, so every row carries generation 1. The bank borrows
+  /// the validator's storage from construction on: `model` and
+  /// `validator` must outlive the scorer, the validator must be fitted,
+  /// and it must not be refit or re-thresholded while the scorer lives.
   validator_scorer(sequential& model, const deep_validator& validator);
 
-  /// Also score each batch with the weighted combiner (must be fitted and
-  /// outlive the scorer).
-  void attach_weighted(const weighted_joint_validator& weighted);
   /// Also score each batch with `detector` (must outlive the scorer).
   /// Scores land in scoring_result::detector_scores in attachment order.
   void attach_detector(anomaly_detector& detector);
@@ -104,40 +116,15 @@ class validator_scorer : public batch_scorer {
 
  private:
   sequential& model_;
-  const deep_validator& validator_;
-  const weighted_joint_validator* weighted_{nullptr};
+  /// Set only by the fixed-bank constructor; handle_ points into it.
+  std::unique_ptr<engine_handle> owned_handle_;
+  const engine_handle* handle_;
   std::vector<anomaly_detector*> detectors_;
-  /// Strong-hash LRU over per-frame forward-pass products; score() runs
-  /// only on the batcher worker, which is the single-mutator stream the
-  /// cache requires.
-  std::unique_ptr<activation_cache> frame_cache_;
-};
-
-/// The hot-swappable scorer: scores each batch against whatever bank the
-/// engine_handle currently publishes (serve/engine_handle.h). The bank is
-/// loaded ONCE per batch — every frame of a batch scores against one
-/// generation, and a publish between batches never drains the queue.
-/// Weighted scores come from the bank's embedded combiner when the
-/// snapshot carries one. When caching is on, a handle must not be shared
-/// by two concurrently scoring services (docs/SNAPSHOTS.md): the bank's
-/// decision caches assume the serialized scoring stream one micro_batcher
-/// provides.
-class engine_scorer : public batch_scorer {
- public:
-  /// `model` and `handle` must outlive the scorer. The handle may be
-  /// empty at construction; score() before the first publish throws.
-  engine_scorer(sequential& model, const engine_handle& handle);
-
-  std::vector<scoring_result> score(const tensor& frames) override;
-
-  /// The frame-level activation cache, or nullptr when caching was off
-  /// at construction (DV_CACHE, docs/CACHING.md).
-  const activation_cache* frame_cache() const { return frame_cache_.get(); }
-
- private:
-  sequential& model_;
-  const engine_handle& handle_;
-  std::unique_ptr<activation_cache> frame_cache_;
+  /// Strong-hash LRU over per-frame forward-pass products, present when
+  /// caching is on at construction; score() runs only on the batcher
+  /// worker, which is the single-mutator stream the cache requires.
+  std::unique_ptr<activation_cache> frame_cache_{
+      cache_enabled() ? std::make_unique<activation_cache>() : nullptr};
 };
 
 }  // namespace dv

@@ -301,34 +301,7 @@ std::vector<double> one_class_svm_view::decision_batch(const tensor& x) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: legacy binary stream + flat snapshot sections.
-
-void one_class_svm::save(binary_writer& w) const {
-  if (!fitted_) throw std::logic_error{"one_class_svm::save: not fitted"};
-  w.write_u8(static_cast<std::uint8_t>(kernel_));
-  w.write_f64(gamma_);
-  w.write_f64(rho_);
-  w.write_i64(iterations_);
-  support_vectors_.save(w);
-  w.write_f64_vector(alpha_);
-}
-
-one_class_svm one_class_svm::load(binary_reader& r) {
-  one_class_svm out;
-  out.kernel_ = static_cast<kernel_kind>(r.read_u8());
-  out.gamma_ = r.read_f64();
-  out.rho_ = r.read_f64();
-  out.iterations_ = r.read_i64();
-  out.support_vectors_ = tensor::load(r);
-  out.alpha_ = r.read_f64_vector();
-  if (out.support_vectors_.dim() != 2 ||
-      static_cast<std::size_t>(out.support_vectors_.extent(0)) !=
-          out.alpha_.size()) {
-    throw serialize_error{"one_class_svm::load: inconsistent artifact"};
-  }
-  out.fitted_ = true;
-  return out;
-}
+// Serialization: flat snapshot sections.
 
 void one_class_svm::save_snapshot(snapshot_writer& w,
                                   const std::string& prefix) const {

@@ -11,7 +11,7 @@
 // The class splits builder from view (DESIGN.md §16): `one_class_svm` owns
 // mutable training state and the fit path; `one_class_svm_view` is the
 // read-only scoring surface over borrowed support-vector memory — either
-// the builder's own heap tensors or a mapped snapshot section
+// the builder's own heap tensors or a loaded snapshot section
 // (util/flat_snapshot.h). Both paths run the SAME scoring code, so a
 // snapshot-backed view is bitwise identical to the fitted model.
 #pragma once
@@ -27,8 +27,6 @@
 
 namespace dv {
 
-class binary_reader;
-class binary_writer;
 class snapshot_view;
 class snapshot_writer;
 
@@ -151,9 +149,6 @@ class one_class_svm {
     return support_vectors_.empty() ? 0 : support_vectors_.extent(1);
   }
   std::int64_t iterations_used() const { return iterations_; }
-
-  void save(binary_writer& w) const;
-  static one_class_svm load(binary_reader& r);
 
   /// Writes the fitted state as snapshot sections named `prefix` +
   /// {meta_i, meta_f, sv, alpha} (docs/SNAPSHOTS.md).

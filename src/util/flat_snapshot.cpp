@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/logging.h"
 #include "util/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define DV_SNAPSHOT_HAVE_MMAP 1
-#else
-#define DV_SNAPSHOT_HAVE_MMAP 0
-#endif
 
 namespace dv {
 
@@ -31,32 +20,9 @@ constexpr std::size_t k_header_size = 8 + 4 + 4 + 8 + 8;
 constexpr std::size_t k_footer_size = 8 + 8 + 8;
 constexpr std::size_t k_payload_align = 64;
 
-/// Whether snapshot_view::open maps files (default) or buffers them
-/// (DV_SNAPSHOT_MMAP=off|0|false). Latched once, overridable in-process.
-struct snapshot_config {
-  std::atomic<bool> use_mmap{true};
-
-  // dv:init(constructed once for the process-wide config singleton)
-  snapshot_config() {
-    if (const char* raw = std::getenv("DV_SNAPSHOT_MMAP")) {
-      if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "0") == 0 ||
-          std::strcmp(raw, "false") == 0) {
-        use_mmap.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
-};
-
-snapshot_config& config() {
-  // Single atomic field; reads and writes are individually ordered.
-  // dv-lint: allow(thread-safety) atomic-field singleton
-  static snapshot_config instance;
-  return instance;
-}
-
-/// Live mapped/buffered snapshot bytes across every open view, published
-/// as the dv_snapshot_bytes gauge (same survive-reset idiom as the cache
-/// byte totals in strong_lru.cpp).
+/// Live snapshot bytes across every open view, published as the
+/// dv_snapshot_bytes gauge (same survive-reset idiom as the cache byte
+/// totals in strong_lru.cpp).
 std::atomic<std::int64_t>& live_bytes() {
   // dv-lint: allow(thread-safety) atomic singleton
   static std::atomic<std::int64_t> total{0};
@@ -111,14 +77,6 @@ bool valid_kind(std::uint8_t k) {
 }
 
 }  // namespace
-
-bool snapshot_mmap_enabled() {
-  return config().use_mmap.load(std::memory_order_relaxed);
-}
-
-void set_snapshot_mmap(bool enabled) {
-  config().use_mmap.store(enabled, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // snapshot_writer
@@ -253,53 +211,28 @@ std::shared_ptr<const snapshot_view> snapshot_view::open(
   const std::int64_t start_ns = metrics::now_ns();
   auto view = std::shared_ptr<snapshot_view>(new snapshot_view);
   view->path_ = path;
-#if DV_SNAPSHOT_HAVE_MMAP
-  if (config().use_mmap.load(std::memory_order_relaxed)) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw serialize_error{"snapshot: cannot open " + path};
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      throw serialize_error{"snapshot: cannot stat " + path};
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    void* base = size > 0
-                     ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)
-                     : nullptr;
-    ::close(fd);
-    if (size > 0 && base == MAP_FAILED) {
-      throw serialize_error{"snapshot: cannot mmap " + path};
-    }
-    view->data_ = static_cast<const std::uint8_t*>(base);
-    view->size_ = size;
-    view->mapped_ = true;
-  }
-#endif
-  if (!view->mapped_) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw serialize_error{"snapshot: cannot open " + path};
-    std::fseek(f, 0, SEEK_END);
-    const long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len < 0) {
-      std::fclose(f);
-      throw serialize_error{"snapshot: cannot size " + path};
-    }
-    const auto size = static_cast<std::size_t>(len);
-    auto* buffer = static_cast<std::uint8_t*>(
-        ::operator new(std::max<std::size_t>(size, 1),
-                       std::align_val_t{k_payload_align}));
-    const std::size_t got = size > 0 ? std::fread(buffer, 1, size, f) : 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) throw serialize_error{"snapshot: cannot open " + path};
+  std::fseek(f, 0, SEEK_END);
+  const long len = std::ftell(f);
+  std::fseek(f, 0, SEEK_SET);
+  if (len < 0) {
     std::fclose(f);
-    if (got != size) {
-      ::operator delete(buffer, std::align_val_t{k_payload_align});
-      throw serialize_error{"snapshot: short read from " + path};
-    }
-    view->data_ = buffer;
-    view->size_ = size;
-    view->mapped_ = false;
+    throw serialize_error{"snapshot: cannot size " + path};
   }
-  view->parse_and_validate();  // throws; dtor releases the mapping/buffer
+  const auto size = static_cast<std::size_t>(len);
+  auto* buffer = static_cast<std::uint8_t*>(
+      ::operator new(std::max<std::size_t>(size, 1),
+                     std::align_val_t{k_payload_align}));
+  const std::size_t got = size > 0 ? std::fread(buffer, 1, size, f) : 0;
+  std::fclose(f);
+  if (got != size) {
+    ::operator delete(buffer, std::align_val_t{k_payload_align});
+    throw serialize_error{"snapshot: short read from " + path};
+  }
+  view->data_ = buffer;
+  view->size_ = size;
+  view->parse_and_validate();  // throws; dtor releases the buffer
   account_snapshot_bytes(static_cast<std::int64_t>(view->size_));
   if (metrics::enabled()) {
     metrics::observe("dv_snapshot_load_seconds",
@@ -319,7 +252,6 @@ std::shared_ptr<const snapshot_view> snapshot_view::from_image(
   if (!image.empty()) std::memcpy(buffer, image.data(), image.size());
   view->data_ = buffer;
   view->size_ = image.size();
-  view->mapped_ = false;
   view->parse_and_validate();
   account_snapshot_bytes(static_cast<std::int64_t>(view->size_));
   return view;
@@ -330,14 +262,6 @@ snapshot_view::~snapshot_view() {
   if (parsed_ok_) {
     account_snapshot_bytes(-static_cast<std::int64_t>(size_));
   }
-#if DV_SNAPSHOT_HAVE_MMAP
-  if (mapped_) {
-    if (data_ != nullptr && size_ > 0) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-    return;
-  }
-#endif
   if (data_ != nullptr) {
     ::operator delete(const_cast<std::uint8_t*>(data_),
                       std::align_val_t{k_payload_align});
@@ -378,7 +302,7 @@ void snapshot_view::parse_and_validate() {
 
   // Digest verified; the toc bytes are trusted to be what the writer
   // produced, but still bounds-check every record so a snapshot written
-  // by a buggy producer cannot index out of the mapping.
+  // by a buggy producer cannot index out of the image.
   sections_.reserve(count);
   std::uint64_t cursor = toc_offset;
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/deep_validator.h"
 #include "core/feature_scaler.h"
 #include "core/probe_reducer.h"
 #include "test_util.h"
-#include "util/serialize.h"
 
 namespace dv {
 namespace {
@@ -114,27 +111,6 @@ TEST(FeatureScaler, RowTransformMatchesMatrix) {
   for (std::int64_t j = 0; j < 3; ++j) {
     EXPECT_FLOAT_EQ(row[static_cast<std::size_t>(j)], scaled.at2(0, j));
   }
-}
-
-TEST(FeatureScaler, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/scaler_rt.bin";
-  rng gen{5};
-  tensor features = tensor::randn({10, 4}, gen);
-  feature_scaler scaler;
-  scaler.fit(features);
-  {
-    binary_writer w{path, "s"};
-    scaler.save(w);
-    w.finish();
-  }
-  binary_reader r{path, "s"};
-  const feature_scaler loaded = feature_scaler::load(r);
-  std::vector<float> a{features.data(), features.data() + 4};
-  std::vector<float> b = a;
-  scaler.transform_row(a);
-  loaded.transform_row(b);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a[i], b[i]);
-  std::remove(path.c_str());
 }
 
 TEST(FeatureScaler, UnfittedTransformThrows) {
@@ -260,25 +236,6 @@ TEST(DeepValidator, ThresholdFlagging) {
   dv.set_threshold(0.5);
   EXPECT_TRUE(dv.flags_invalid(0.6));
   EXPECT_FALSE(dv.flags_invalid(0.4));
-}
-
-TEST(DeepValidator, SaveLoadReproducesScores) {
-  const std::string path = ::testing::TempDir() + "/dv_rt.bin";
-  const auto& world = shared_tiny_world();
-  deep_validator dv;
-  dv.fit(*world.model, world.train, tiny_dv_config());
-  dv.set_threshold(1.25);
-  dv.save(path);
-  const deep_validator loaded = deep_validator::load(path);
-  EXPECT_EQ(loaded.validated_layers(), dv.validated_layers());
-  EXPECT_DOUBLE_EQ(loaded.threshold(), 1.25);
-  const tensor batch = world.test.images.slice_rows(0, 5);
-  const auto a = dv.evaluate(*world.model, batch).joint;
-  const auto b = loaded.evaluate(*world.model, batch).joint;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-9);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(DeepValidator, JointDiscrepancySingleImageMatchesBatch) {

@@ -19,7 +19,8 @@
 #include "core/validator_bank.h"
 #include "eval/metrics.h"
 #include "serve/engine_handle.h"
-#include "serve/scoring_service.h"
+#include "serve/micro_batcher.h"
+#include "serve/scoring.h"
 #include "test_util.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -128,21 +129,21 @@ TEST(EngineHandle, PublishRecordsMetrics) {
   EXPECT_TRUE(saw_generation);
 }
 
-// -- engine_scorer ------------------------------------------------------------
+// -- validator_scorer over a handle -------------------------------------------
 
-TEST(EngineScorer, ThrowsBeforeFirstPublish) {
+TEST(ValidatorScorer, ThrowsBeforeFirstPublish) {
   const auto& world = shared_tiny_world();
   engine_handle handle;
-  engine_scorer scorer{*world.model, handle};
+  validator_scorer scorer{*world.model, handle};
   EXPECT_THROW((void)scorer.score(subset_frames(2)), std::logic_error);
 }
 
-TEST(EngineScorer, MatchesSequentialEvaluation) {
+TEST(ValidatorScorer, MatchesSequentialEvaluation) {
   const auto& dv = fitted_validator();
   const auto& world = shared_tiny_world();
   engine_handle handle;
   (void)handle.publish(dv.bank());
-  engine_scorer scorer{*world.model, handle};
+  validator_scorer scorer{*world.model, handle};
 
   const tensor frames = subset_frames(12);
   const auto results = scorer.score(frames);
@@ -165,11 +166,11 @@ TEST(EngineScorer, MatchesSequentialEvaluation) {
   }
 }
 
-TEST(EngineScorer, BatchPinsOneGenerationWhilePublisherRaces) {
+TEST(ValidatorScorer, BatchPinsOneGenerationWhilePublisherRaces) {
   const auto& world = shared_tiny_world();
   engine_handle handle;
   (void)handle.publish(bank_with_threshold(threshold_for_generation(1)));
-  engine_scorer scorer{*world.model, handle};
+  validator_scorer scorer{*world.model, handle};
 
   std::atomic<bool> stop{false};
   std::thread publisher{[&] {
@@ -208,12 +209,15 @@ TEST(EngineSwap, StressEveryVerdictMatchesOnePublishedGeneration) {
   const auto& world = shared_tiny_world();
   engine_handle handle;
   (void)handle.publish(bank_with_threshold(threshold_for_generation(1)));
-  engine_scorer scorer{*world.model, handle};
+  validator_scorer scorer{*world.model, handle};
 
   serve_config config;
   config.batch.max_batch = 8;
   config.queue_capacity = 64;
-  scoring_service service{scorer, config};
+  micro_batcher<scoring_result> service{
+      "scoring",
+      [&scorer](const tensor& frames) { return scorer.score(frames); },
+      config};
 
   // Publisher: keeps swapping banks (min 5 generations, then until the
   // submitters drain) with the generation-colored threshold rule.

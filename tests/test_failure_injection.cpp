@@ -1,13 +1,18 @@
 // Failure injection: corrupted or mismatched artifacts must fail loudly
 // (serialize_error), never silently load garbage into a deployed detector.
+// Validator banks are `.dvsnap` snapshots (docs/SNAPSHOTS.md); model
+// params and corner suites still use util/serialize.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "core/deep_validator.h"
+#include "core/validator_bank.h"
 #include "pipeline/corner_suite.h"
 #include "test_util.h"
+#include "util/flat_snapshot.h"
 #include "util/serialize.h"
 
 namespace dv {
@@ -46,28 +51,39 @@ deep_validator make_fitted_validator() {
   return dv;
 }
 
+/// Both snapshot readers — the zero-copy bank view and the materialized
+/// builder — must refuse `path` with serialize_error.
+void expect_both_loaders_reject(const std::string& path) {
+  EXPECT_THROW(
+      (void)validator_bank_view::from_snapshot(snapshot_view::open(path)),
+      serialize_error);
+  EXPECT_THROW((void)deep_validator::load_snapshot(path), serialize_error);
+}
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
 TEST(FailureInjection, ValidatorWrongMagicRejected) {
-  const std::string path = temp_path("fi_magic.bin");
-  {
-    binary_writer w{path, "not-a-validator"};
-    w.write_i32(42);
-    w.finish();
-  }
-  EXPECT_THROW(deep_validator::load(path), serialize_error);
+  const std::string path = temp_path("fi_magic.dvsnap");
+  make_fitted_validator().save_snapshot(path);
+  flip_byte(path, 0);  // first byte of the header magic
+  expect_both_loaders_reject(path);
   std::remove(path.c_str());
 }
 
 TEST(FailureInjection, TruncatedValidatorRejected) {
-  const std::string path = temp_path("fi_trunc.bin");
-  make_fitted_validator().save(path);
+  const std::string path = temp_path("fi_trunc.dvsnap");
+  make_fitted_validator().save_snapshot(path);
   truncate_file(path, 200);
-  EXPECT_THROW(deep_validator::load(path), serialize_error);
+  expect_both_loaders_reject(path);
   std::remove(path.c_str());
 }
 
 TEST(FailureInjection, MissingValidatorFileRejected) {
-  EXPECT_THROW(deep_validator::load(temp_path("does_not_exist.bin")),
-               serialize_error);
+  expect_both_loaders_reject(temp_path("does_not_exist.dvsnap"));
 }
 
 TEST(FailureInjection, TruncatedModelParamsRejected) {
@@ -95,16 +111,30 @@ TEST(FailureInjection, CorruptedSuiteLengthFieldRejected) {
 }
 
 TEST(FailureInjection, ValidatorSurvivesRoundTripAfterSave) {
-  // Control case: an untouched artifact loads and scores identically.
+  // Control case: an untouched snapshot loads through both readers and
+  // scores bitwise identically to the fitted bank.
   const auto& world = shared_tiny_world();
-  const std::string path = temp_path("fi_ok.bin");
+  const std::string path = temp_path("fi_ok.dvsnap");
   deep_validator dv = make_fitted_validator();
-  dv.save(path);
-  const deep_validator loaded = deep_validator::load(path);
+  dv.set_threshold(1.25);
+  dv.save_snapshot(path);
+  const auto bank =
+      validator_bank_view::from_snapshot(snapshot_view::open(path));
+  const deep_validator loaded = deep_validator::load_snapshot(path);
+  EXPECT_EQ(bank.threshold(), 1.25);
+  EXPECT_EQ(loaded.threshold(), 1.25);
+  EXPECT_EQ(loaded.validated_layers(), dv.validated_layers());
   const tensor img = world.test.images.slice_rows(0, 3);
-  const auto a = dv.evaluate(*world.model, img).joint;
-  const auto b = loaded.evaluate(*world.model, img).joint;
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  const auto expected = dv.evaluate(*world.model, img);
+  for (const auto& got : {bank.evaluate(*world.model, img),
+                          loaded.evaluate(*world.model, img)}) {
+    EXPECT_EQ(got.predictions, expected.predictions);
+    EXPECT_TRUE(same_doubles(got.joint, expected.joint));
+    ASSERT_EQ(got.per_layer.size(), expected.per_layer.size());
+    for (std::size_t l = 0; l < got.per_layer.size(); ++l) {
+      EXPECT_TRUE(same_doubles(got.per_layer[l], expected.per_layer[l]));
+    }
+  }
   std::remove(path.c_str());
 }
 

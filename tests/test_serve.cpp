@@ -1,8 +1,9 @@
 // Tests for the batch-first serving layer: the bounded queue primitive,
 // micro-batcher lifecycle (backpressure, rejection, shutdown drain, scorer
-// failure), and the hard determinism contract — verdicts through the async
-// micro-batched path are bitwise identical to the sequential observe path
-// for any max_batch and any thread count.
+// failure), validator_scorer against the direct batch path, and the hard
+// determinism contract — verdicts through the async micro-batched path are
+// bitwise identical to the sequential observe path for any max_batch and
+// any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +16,12 @@
 
 #include "augment/stream.h"
 #include "core/monitor.h"
+#include "core/weighted_joint.h"
 #include "detect/dv_adapter.h"
 #include "eval/metrics.h"
+#include "serve/engine_handle.h"
+#include "serve/micro_batcher.h"
 #include "serve/monitor_service.h"
-#include "serve/scoring_service.h"
 #include "test_util.h"
 #include "util/bounded_queue.h"
 #include "util/thread_pool.h"
@@ -182,7 +185,7 @@ TEST(BoundedQueue, PopBatchWaitsForFirstItem) {
   producer.join();
 }
 
-// -- scoring_service lifecycle ---------------------------------------------
+// -- micro_batcher lifecycle -----------------------------------------------
 
 serve_config stub_config(int max_batch, std::size_t capacity,
                          overflow_policy policy) {
@@ -193,9 +196,18 @@ serve_config stub_config(int max_batch, std::size_t capacity,
   return cfg;
 }
 
-TEST(ScoringService, CompletesEveryFutureWithItsOwnResult) {
+/// The serve engine scoring straight through a batch_scorer: the code that
+/// implements coalescing, backpressure, drain and failure broadcast.
+using scoring_batcher = micro_batcher<scoring_result>;
+
+scoring_batcher::batch_fn score_with(batch_scorer& scorer) {
+  return [&scorer](const tensor& frames) { return scorer.score(frames); };
+}
+
+TEST(MicroBatcher, CompletesEveryFutureWithItsOwnResult) {
   pixel_scorer scorer;
-  scoring_service svc{scorer, stub_config(4, 16, overflow_policy::block)};
+  scoring_batcher svc{"scoring", score_with(scorer),
+                      stub_config(4, 16, overflow_policy::block)};
   std::vector<std::future<scoring_result>> futures;
   for (int i = 0; i < 20; ++i) futures.push_back(svc.submit(tagged_frame(i)));
   for (int i = 0; i < 20; ++i) {
@@ -204,10 +216,11 @@ TEST(ScoringService, CompletesEveryFutureWithItsOwnResult) {
   svc.shutdown();
 }
 
-TEST(ScoringService, CoalescesQueuedFramesIntoOneBatch) {
+TEST(MicroBatcher, CoalescesQueuedFramesIntoOneBatch) {
   pixel_scorer pixels;
   gated_scorer scorer{pixels};
-  scoring_service svc{scorer, stub_config(8, 16, overflow_policy::block)};
+  scoring_batcher svc{"scoring", score_with(scorer),
+                      stub_config(8, 16, overflow_policy::block)};
   std::vector<std::future<scoring_result>> futures;
   futures.push_back(svc.submit(tagged_frame(0)));
   scorer.wait_until_scoring();  // worker busy with the batch {0}
@@ -221,10 +234,11 @@ TEST(ScoringService, CoalescesQueuedFramesIntoOneBatch) {
   svc.shutdown();
 }
 
-TEST(ScoringService, RejectPolicyThrowsWhenQueueIsFull) {
+TEST(MicroBatcher, RejectPolicyThrowsWhenQueueIsFull) {
   pixel_scorer pixels;
   gated_scorer scorer{pixels};
-  scoring_service svc{scorer, stub_config(1, 2, overflow_policy::reject)};
+  scoring_batcher svc{"scoring", score_with(scorer),
+                      stub_config(1, 2, overflow_policy::reject)};
   auto first = svc.submit(tagged_frame(0));
   scorer.wait_until_scoring();  // worker parked; queue now empty
   auto second = svc.submit(tagged_frame(1));
@@ -237,10 +251,11 @@ TEST(ScoringService, RejectPolicyThrowsWhenQueueIsFull) {
   svc.shutdown();
 }
 
-TEST(ScoringService, ShutdownDrainsAcceptedFrames) {
+TEST(MicroBatcher, ShutdownDrainsAcceptedFrames) {
   pixel_scorer scorer;
-  auto svc = std::make_unique<scoring_service>(
-      scorer, stub_config(4, 64, overflow_policy::block));
+  auto svc = std::make_unique<scoring_batcher>(
+      "scoring", score_with(scorer),
+      stub_config(4, 64, overflow_policy::block));
   std::vector<std::future<scoring_result>> futures;
   for (int i = 0; i < 32; ++i) futures.push_back(svc->submit(tagged_frame(i)));
   svc->shutdown();  // must complete every accepted future
@@ -253,9 +268,10 @@ TEST(ScoringService, ShutdownDrainsAcceptedFrames) {
   EXPECT_THROW((void)svc->submit(tagged_frame(99)), std::runtime_error);
 }
 
-TEST(ScoringService, ScorerFailureReachesTheFutureAndWorkerSurvives) {
+TEST(MicroBatcher, ScorerFailureReachesTheFutureAndWorkerSurvives) {
   pixel_scorer scorer;
-  scoring_service svc{scorer, stub_config(1, 8, overflow_policy::block)};
+  scoring_batcher svc{"scoring", score_with(scorer),
+                      stub_config(1, 8, overflow_policy::block)};
   auto bad = svc.submit(tagged_frame(-1.0f));
   EXPECT_THROW((void)bad.get(), std::runtime_error);
   auto good = svc.submit(tagged_frame(5));
@@ -263,9 +279,10 @@ TEST(ScoringService, ScorerFailureReachesTheFutureAndWorkerSurvives) {
   svc.shutdown();
 }
 
-TEST(ScoringService, MismatchedFrameShapeThrows) {
+TEST(MicroBatcher, MismatchedFrameShapeThrows) {
   pixel_scorer scorer;
-  scoring_service svc{scorer, stub_config(4, 8, overflow_policy::block)};
+  scoring_batcher svc{"scoring", score_with(scorer),
+                      stub_config(4, 8, overflow_policy::block)};
   (void)svc.submit(tagged_frame(1));
   tensor other{{1, 3, 3}};
   EXPECT_THROW((void)svc.submit(std::move(other)), std::invalid_argument);
@@ -292,16 +309,19 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
   const auto direct_weighted =
       weighted.score_batch(*world.model, validator, images);
 
-  validator_scorer scorer{*world.model, validator};
-  scorer.attach_weighted(weighted);
+  engine_handle handle;
+  handle.publish(validator.bank(&weighted));
+  validator_scorer scorer{*world.model, handle};
   scorer.attach_detector(adapter);
-  scoring_service svc{scorer, stub_config(4, 16, overflow_policy::block)};
-  std::vector<std::future<scoring_result>> futures;
-  for (std::int64_t i = 0; i < 10; ++i) {
-    futures.push_back(svc.submit(images.sample(i)));
-  }
+  const auto rows = scorer.score(images);
+  ASSERT_EQ(rows.size(), 10u);
+  // The fixed-bank constructor publishes once into its own handle.
+  validator_scorer fixed{*world.model, validator};
+  const auto fixed_rows = fixed.score(images);
   for (std::size_t i = 0; i < 10; ++i) {
-    const auto row = futures[i].get();
+    const auto& row = rows[i];
+    EXPECT_EQ(fixed_rows[i].generation, 1u);
+    EXPECT_EQ(fixed_rows[i].joint, direct.joint[i]);
     EXPECT_EQ(row.joint, direct.joint[i]);  // bitwise
     EXPECT_EQ(row.prediction, direct.predictions[i]);
     EXPECT_EQ(row.invalid, validator.flags_invalid(direct.joint[i]));
@@ -314,7 +334,6 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
     ASSERT_EQ(row.detector_scores.size(), 1u);
     EXPECT_EQ(row.detector_scores[0], direct.joint[i]);
   }
-  svc.shutdown();
 }
 
 // -- monitor_service --------------------------------------------------------

@@ -28,15 +28,13 @@ namespace {
 
 using dv::testing::shared_tiny_world;
 
-/// Restores the process-wide cache/thread/simd/snapshot knobs on exit.
+/// Restores the process-wide cache/thread/simd knobs on exit.
 struct knob_guard {
   bool cache = cache_enabled();
   std::size_t capacity = cache_capacity();
-  bool mmap = snapshot_mmap_enabled();
   ~knob_guard() {
     set_cache_enabled(cache);
     set_cache_capacity(capacity);
-    set_snapshot_mmap(mmap);
     set_thread_count(0);
     reset_simd_level();
   }
@@ -128,7 +126,6 @@ TEST(SnapshotFormat, RoundTripAllKinds) {
   const auto view = snapshot_view::from_image(w.serialize());
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->section_count(), 7u);
-  EXPECT_FALSE(view->mapped());
 
   const auto f32s = view->f32("a/f32");
   ASSERT_EQ(f32s.size(), f32v.size());
@@ -187,8 +184,7 @@ TEST(SnapshotFormat, TypedAccessChecksKindAndSize) {
 
 // -- file round trip ----------------------------------------------------------
 
-TEST(SnapshotFile, FinishOpenRoundTripBothIoPaths) {
-  knob_guard guard;
+TEST(SnapshotFile, FinishOpenRoundTrip) {
   snapshot_writer w;
   const std::vector<double> payload{3.5, -1.25, 0.0};
   w.add_f64("p", payload);
@@ -196,21 +192,16 @@ TEST(SnapshotFile, FinishOpenRoundTripBothIoPaths) {
   w.finish(path);
 
   const auto image = w.serialize();
-  for (bool use_mmap : {true, false}) {
-    set_snapshot_mmap(use_mmap);
-    const auto view = snapshot_view::open(path);
-    ASSERT_NE(view, nullptr);
-    EXPECT_EQ(view->mapped(), use_mmap);
-    EXPECT_EQ(view->path(), path);
-    EXPECT_EQ(view->byte_size(), image.size());
-    const auto p = view->f64("p");
-    ASSERT_EQ(p.size(), payload.size());
-    EXPECT_EQ(std::memcmp(p.data(), payload.data(), payload.size() * 8), 0);
-    EXPECT_TRUE(aligned64(p.data()));
-    // Both I/O paths validate the same digest.
-    EXPECT_EQ(view->digest(),
-              snapshot_view::from_image(image)->digest());
-  }
+  const auto view = snapshot_view::open(path);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->path(), path);
+  EXPECT_EQ(view->byte_size(), image.size());
+  const auto p = view->f64("p");
+  ASSERT_EQ(p.size(), payload.size());
+  EXPECT_EQ(std::memcmp(p.data(), payload.data(), payload.size() * 8), 0);
+  EXPECT_TRUE(aligned64(p.data()));
+  // The file and the in-memory image validate the same digest.
+  EXPECT_EQ(view->digest(), snapshot_view::from_image(image)->digest());
 }
 
 TEST(SnapshotFile, OpenMissingFileThrows) {
@@ -292,20 +283,6 @@ TEST(SnapshotBank, MaterializedValidatorMatchesOriginal) {
   const tensor frames = subset_frames(16);
   expect_identical_scores(dv.evaluate(*world.model, frames),
                           loaded.evaluate(*world.model, frames));
-}
-
-TEST(SnapshotBank, LegacyArtifactUpgradesLosslessly) {
-  const auto& dv = fitted_validator();
-  const auto& world = shared_tiny_world();
-  const std::string legacy = ::testing::TempDir() + "dv-legacy-bank.bin";
-  const std::string snap = ::testing::TempDir() + "dv-upgraded-bank.dvsnap";
-  dv.save(legacy);
-  deep_validator::load(legacy).save_snapshot(snap);
-  const auto bank =
-      validator_bank_view::from_snapshot(snapshot_view::open(snap));
-  const tensor frames = subset_frames(16);
-  expect_identical_scores(dv.evaluate(*world.model, frames),
-                          bank.evaluate(*world.model, frames));
 }
 
 TEST(SnapshotBank, EmbeddedWeightedCombinerMatchesFitted) {

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/rng.h"
-#include "util/serialize.h"
 
 namespace dv {
 namespace {
@@ -167,29 +165,6 @@ TEST(OneClassSvm, DimensionMismatchThrows) {
   svm.fit(blob, {});
   const float x[3] = {0, 0, 0};
   EXPECT_THROW(svm.decision({x, 3}), std::invalid_argument);
-}
-
-TEST(OneClassSvm, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/svm_rt.bin";
-  const tensor blob = make_blob(120, 1, -1, 1.0, 12);
-  one_class_svm svm;
-  svm.fit(blob, {});
-  {
-    binary_writer w{path, "svm"};
-    svm.save(w);
-    w.finish();
-  }
-  binary_reader r{path, "svm"};
-  const one_class_svm loaded = one_class_svm::load(r);
-  EXPECT_EQ(loaded.support_count(), svm.support_count());
-  EXPECT_DOUBLE_EQ(loaded.rho(), svm.rho());
-  rng gen{13};
-  for (int i = 0; i < 20; ++i) {
-    const float x[2] = {static_cast<float>(gen.uniform(-5, 5)),
-                        static_cast<float>(gen.uniform(-5, 5))};
-    EXPECT_NEAR(loaded.decision({x, 2}), svm.decision({x, 2}), 1e-9);
-  }
-  std::remove(path.c_str());
 }
 
 class SvmNuSweep : public ::testing::TestWithParam<double> {};
