@@ -61,22 +61,9 @@ layer_validator_view layer_validator::view() const {
   return layer_validator_view{scaler_.view(), std::move(views)};
 }
 
-double layer_validator::discrepancy(std::int64_t predicted_class,
-                                    std::span<const float> feature) const {
-  if (!fitted()) throw std::logic_error{"layer_validator: not fitted"};
-  return view().discrepancy(predicted_class, feature);
-}
-
-std::vector<double> layer_validator::discrepancy_batch(
-    const std::vector<std::int64_t>& predicted_classes,
-    const tensor& features) const {
-  if (!fitted()) throw std::logic_error{"layer_validator: not fitted"};
-  return view().discrepancy_batch(predicted_classes, features);
-}
-
 // ---------------------------------------------------------------------------
-// layer_validator_view — the single discrepancy implementation (builder
-// delegates through view(), so owned and snapshot-backed paths share it).
+// layer_validator_view — the single discrepancy implementation, shared by
+// views over the builder's storage and over snapshot sections.
 
 layer_validator_view::layer_validator_view(
     scaler_view scaler, std::vector<one_class_svm_view> svms)

@@ -4,8 +4,8 @@
 //
 // Split into builder and view (DESIGN.md §16): `layer_validator` owns the
 // fitted scaler and SVMs; `layer_validator_view` borrows their storage —
-// from the builder or from a loaded snapshot — and carries the single
-// discrepancy implementation both paths share.
+// from the builder or from a loaded snapshot — and is the one scoring
+// surface both paths share.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,8 @@ namespace dv {
 
 /// Read-only discrepancy scoring over one probe layer: a scaler view plus
 /// one SVM view per class. Valid while the owner (a layer_validator or an
-/// open snapshot_view) is alive.
+/// open snapshot_view) is alive. Holds no mutable state, so threads may
+/// share one view without locking.
 class layer_validator_view {
  public:
   layer_validator_view() = default;
@@ -40,8 +41,7 @@ class layer_validator_view {
   /// Discrepancies for all rows of `features` [n, d] with per-row
   /// predicted classes — bit-identical to calling discrepancy() per row.
   /// Rows are grouped by predicted class and scored through
-  /// one_class_svm_view::decision_batch; see that method for the
-  /// parallelism and caching contract.
+  /// one_class_svm_view::decision_batch, which parallelizes over rows.
   std::vector<double> discrepancy_batch(
       const std::vector<std::int64_t>& predicted_classes,
       const tensor& features) const;
@@ -64,26 +64,9 @@ class layer_validator {
   void fit(const tensor& features, const std::vector<std::int64_t>& labels,
            int num_classes, const one_class_svm_config& config);
 
-  /// Discrepancy d_i = -t_{y'}(feature) (Equation 2). `feature` is the raw
-  /// (reduced, unscaled) probe vector; scaling happens internally.
-  /// Thread-safe: concurrent calls on one fitted validator are allowed.
-  double discrepancy(std::int64_t predicted_class,
-                     std::span<const float> feature) const;
-
-  /// Discrepancies for all rows of `features` [n, d] with per-row
-  /// predicted classes — bit-identical to calling discrepancy() per row.
-  /// Rows are grouped by predicted class and scored through
-  /// one_class_svm::decision_batch, which parallelizes internally and
-  /// serves repeated rows from the decision cache when caching is on
-  /// (docs/CACHING.md). Like decision_batch, concurrent calls on the
-  /// SAME instance are forbidden while caching is enabled.
-  std::vector<double> discrepancy_batch(
-      const std::vector<std::int64_t>& predicted_classes,
-      const tensor& features) const;
-
-  /// Read-only view over the owned storage, with each SVM view bound to
-  /// that SVM's decision cache. Valid while this object is alive and
-  /// unmodified; requires a fitted validator.
+  /// Read-only view over the owned storage — the only way to score a
+  /// fitted validator. Valid while this object is alive and unmodified;
+  /// requires a fitted validator.
   layer_validator_view view() const;
 
   bool fitted() const { return !svms_.empty(); }

@@ -32,10 +32,15 @@ runtime_monitor::runtime_monitor(sequential& model,
 }
 
 monitor_verdict runtime_monitor::apply(const frame_score& score) {
+  return apply(score, validator_.flags_invalid(score.discrepancy));
+}
+
+monitor_verdict runtime_monitor::apply(const frame_score& score,
+                                       bool frame_invalid) {
   monitor_verdict v;
   v.discrepancy = score.discrepancy;
   v.prediction = score.prediction;
-  v.frame_invalid = validator_.flags_invalid(v.discrepancy);
+  v.frame_invalid = frame_invalid;
 
   window_.push_back(v.frame_invalid);
   if (static_cast<int>(window_.size()) > config_.window) window_.pop_front();

@@ -52,10 +52,17 @@ class runtime_monitor {
                   monitor_config config = {});
 
   /// Pure state-machine step: folds one scored frame into the sliding
-  /// window, updates the hysteresis latch, and returns the verdict. Not
-  /// thread-safe — callers (the serving worker, observe) apply scores in
-  /// stream order.
+  /// window, updates the hysteresis latch, and returns the verdict. The
+  /// frame is invalid when the monitor's validator flags its joint
+  /// (threshold epsilon, NaN-safe). Not thread-safe — callers (the
+  /// serving worker, observe) apply scores in stream order.
   monitor_verdict apply(const frame_score& score);
+
+  /// The same step with the validity bit decided by the caller — the
+  /// serving path passes the flag of the bank that scored the frame
+  /// (scoring_result::invalid), so a hot-swapped epsilon reaches the
+  /// verdict.
+  monitor_verdict apply(const frame_score& score, bool frame_invalid);
 
   /// Feeds one [C,H,W] frame; returns the verdict and updates alarm state.
   /// Thin wrapper: one-frame evaluate + apply().

@@ -10,8 +10,11 @@
 // code, so a snapshot-backed bank is bitwise identical to the fitted
 // in-memory bank for any DV_THREADS / DV_SIMD / DV_CACHE setting.
 //
-// Banks are immutable after construction and cheap to copy (views +
-// small owned vectors). The serving layer publishes them through
+// Banks are immutable after construction: no view below them holds
+// mutable state, so scoring threads may share one bank without locking
+// (the thread pool still runs one parallel region at a time, see
+// util/thread_pool.h). Banks are cheap to copy (views + small owned
+// vectors). The serving layer publishes them through
 // serve/engine_handle.h for pause-free hot swap.
 #pragma once
 

@@ -29,9 +29,11 @@ std::vector<monitor_verdict> monitor_service::score_and_apply(
   std::vector<monitor_verdict> out;
   out.reserve(rows.size());
   // FIFO within the batch and across batches (single worker), so the
-  // hysteresis updates happen in exact submission order.
+  // hysteresis updates happen in exact submission order. Validity comes
+  // from the bank that scored the row, so a published epsilon reaches
+  // the verdict.
   for (const auto& row : rows) {
-    out.push_back(monitor_.apply({row.joint, row.prediction}));
+    out.push_back(monitor_.apply({row.joint, row.prediction}, row.invalid));
   }
   return out;
 }

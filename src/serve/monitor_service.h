@@ -2,9 +2,12 @@
 //
 // Frames submitted here are micro-batched, scored with one shared
 // activation extraction per batch, and folded into the monitor's
-// hysteresis state machine in FIFO order on the worker thread. Verdicts
-// are bitwise identical to calling runtime_monitor::observe per frame in
-// the same order, for any max_batch and any DV_THREADS (ctest-enforced).
+// hysteresis state machine in FIFO order on the worker thread. Each
+// frame's validity is the flag of the bank that scored it, so a
+// hot-swapped epsilon reaches the verdict. Over the monitor's own
+// validator, verdicts are bitwise identical to calling
+// runtime_monitor::observe per frame in the same order, for any
+// max_batch and any DV_THREADS (ctest-enforced).
 //
 // Overflow is block (lossless) or reject (load shedding — a rejected
 // frame simply never enters the verdict stream). Submit and reset() must

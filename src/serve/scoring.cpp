@@ -13,10 +13,8 @@ validator_scorer::validator_scorer(sequential& model,
 validator_scorer::validator_scorer(sequential& model,
                                    const deep_validator& validator)
     : model_{model},
-      owned_handle_{std::make_unique<engine_handle>()},
-      handle_{owned_handle_.get()} {
-  owned_handle_->publish(validator.bank());
-}
+      fixed_{std::make_shared<const published_bank>(
+          published_bank{validator.bank(), 1})} {}
 
 void validator_scorer::attach_detector(anomaly_detector& detector) {
   detectors_.push_back(&detector);
@@ -27,7 +25,8 @@ std::vector<scoring_result> validator_scorer::score(const tensor& frames) {
   // with this call either lands before the load (whole batch on the new
   // generation) or after (whole batch on the old one, kept alive by this
   // shared_ptr) — never a mix.
-  const std::shared_ptr<const published_bank> current = handle_->current();
+  const std::shared_ptr<const published_bank> current =
+      handle_ != nullptr ? handle_->current() : fixed_;
   if (current == nullptr) {
     throw std::logic_error{"validator_scorer: no bank published yet"};
   }

@@ -85,10 +85,7 @@ class batch_scorer {
 /// frame of a batch scores against one generation, and a publish between
 /// batches never drains the queue. Weighted scores come from the bank's
 /// combiner when it carries one (deep_validator::bank(&weighted) or a
-/// snapshot written with one). When caching is on, a handle must not be
-/// shared by two concurrently scoring services (docs/SNAPSHOTS.md): the
-/// bank's decision caches assume the serialized scoring stream one
-/// micro_batcher provides.
+/// snapshot written with one).
 class validator_scorer : public batch_scorer {
  public:
   /// Hot-swappable bank: `model` and `handle` must outlive the scorer.
@@ -96,11 +93,12 @@ class validator_scorer : public batch_scorer {
   /// publish throws.
   validator_scorer(sequential& model, const engine_handle& handle);
 
-  /// Fixed bank: publishes `validator.bank()` once into a handle the
-  /// scorer owns, so every row carries generation 1. The bank borrows
-  /// the validator's storage from construction on: `model` and
-  /// `validator` must outlive the scorer, the validator must be fitted,
-  /// and it must not be refit or re-thresholded while the scorer lives.
+  /// Fixed bank: pins `validator.bank()` as generation 1 for the
+  /// scorer's life, without publishing it anywhere (so no
+  /// dv_snapshot_* metric moves). The bank borrows the validator's
+  /// storage from construction on: `model` and `validator` must outlive
+  /// the scorer, the validator must be fitted, and it must not be refit
+  /// or re-thresholded while the scorer lives.
   validator_scorer(sequential& model, const deep_validator& validator);
 
   /// Also score each batch with `detector` (must outlive the scorer).
@@ -116,9 +114,10 @@ class validator_scorer : public batch_scorer {
 
  private:
   sequential& model_;
-  /// Set only by the fixed-bank constructor; handle_ points into it.
-  std::unique_ptr<engine_handle> owned_handle_;
-  const engine_handle* handle_;
+  /// The hot-swap slot, or nullptr for a fixed bank.
+  const engine_handle* handle_{nullptr};
+  /// The fixed bank; set only by the fixed-bank constructor.
+  std::shared_ptr<const published_bank> fixed_;
   std::vector<anomaly_detector*> detectors_;
   /// Strong-hash LRU over per-frame forward-pass products, present when
   /// caching is on at construction; score() runs only on the batcher

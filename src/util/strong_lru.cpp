@@ -44,7 +44,7 @@ cache_config& config() {
 }
 
 // Byte totals aggregated per label across every live cache instance, so
-// the per-(layer,class) decision shards export one dv_cache_bytes series.
+// several caches sharing a label export one dv_cache_bytes series.
 // The totals live outside the metrics registry and survive
 // metrics::reset(); the gauge is re-published on the next delta.
 struct byte_registry {

@@ -2,7 +2,7 @@
 // (docs/CACHING.md, DESIGN.md §13).
 //
 // The key is a 128-bit FNV-1a-style hash over the raw bytes of the input
-// (an image tensor, a probe-feature row) — wide enough that accidental
+// (a frame tensor for the activation cache) — wide enough that accidental
 // collisions are out of reach, so the cache never stores the hashed bytes
 // themselves. The index is an open-addressed, linearly probed table over a
 // fixed entry pool threaded onto an intrusive LRU list.
@@ -18,8 +18,8 @@
 // Observability: a cache constructed with a label records
 // dv_cache_{hits,misses,evictions}_total{cache="<label>"} counters and
 // keeps the dv_cache_bytes{cache="<label>"} gauge at the byte total over
-// every live cache sharing that label (per-(layer,class) SVM shards
-// aggregate into one "decision" series). Unlabeled caches record nothing.
+// every live cache sharing that label (several scorers' activation caches
+// aggregate into one series). Unlabeled caches record nothing.
 //
 // The process-wide knobs (DV_CACHE=off, DV_CACHE_CAPACITY=N) are read
 // once at startup; set_cache_enabled / set_cache_capacity override them
@@ -52,8 +52,8 @@ void set_cache_enabled(bool enabled);
 /// when unset. 0 behaves like DV_CACHE=off.
 std::size_t cache_capacity();
 
-/// Overrides DV_CACHE_CAPACITY in-process. Call sites that lazily size a
-/// cache from cache_capacity() re-create it (cold) when the knob changed.
+/// Overrides DV_CACHE_CAPACITY in-process; caches constructed afterwards
+/// take the new capacity.
 void set_cache_capacity(std::size_t capacity);
 
 // ---------------------------------------------------------------------------

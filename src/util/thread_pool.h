@@ -12,7 +12,10 @@
 // The pool is a process-wide singleton sized from the DV_THREADS
 // environment variable (default: std::thread::hardware_concurrency).
 // Nested parallel regions execute sequentially on the calling worker, so
-// library code can call parallel_for unconditionally.
+// library code can call parallel_for unconditionally. The pool runs one
+// region at a time: two threads outside the pool must not be inside
+// parallel_for at once (with a pool of one thread every region runs
+// inline on its caller, so that case is safe).
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,8 @@
 // cache unit behavior, the DV_CACHE knobs, and the bitwise-transparency
 // contract — cached and uncached scoring must produce byte-identical
 // results across DV_THREADS and every supported DV_SIMD level, for
-// one_class_svm decisions, activation extraction, full deep_validator
-// scores, serve-path scoring results, and monitor verdicts.
+// activation extraction, full deep_validator scores, serve-path scoring
+// results, and monitor verdicts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,7 +16,6 @@
 #include "core/monitor.h"
 #include "eval/metrics.h"
 #include "serve/scoring.h"
-#include "svm/one_class_svm.h"
 #include "tensor/simd/simd.h"
 #include "test_util.h"
 #include "util/metrics.h"
@@ -226,85 +225,6 @@ TEST(CacheConfig, SettersOverrideInProcess) {
   EXPECT_EQ(cache_capacity(), 7u);
   set_cache_capacity(0);  // capacity 0 behaves like DV_CACHE=off
   EXPECT_FALSE(cache_enabled());
-}
-
-// -- one_class_svm decision cache ---------------------------------------------
-
-one_class_svm fitted_svm() {
-  rng gen{99};
-  const tensor samples = tensor::randn({64, 8}, gen);
-  one_class_svm svm;
-  svm.fit(samples, one_class_svm_config{});
-  return svm;
-}
-
-/// [n,8] queries cycling through `unique` distinct rows.
-tensor repeated_queries(std::int64_t n, std::int64_t unique) {
-  rng gen{123};
-  const tensor base = tensor::randn({unique, 8}, gen);
-  tensor out{{n, 8}};
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(out.data() + i * 8, base.data() + (i % unique) * 8,
-                8 * sizeof(float));
-  }
-  return out;
-}
-
-TEST(DecisionCache, BitwiseIdenticalOnVsOffAndWarm) {
-  cache_state_guard guard;
-  const one_class_svm svm = fitted_svm();
-  const tensor queries = repeated_queries(40, 10);
-
-  set_cache_enabled(false);
-  const auto off = svm.decision_batch(queries);
-  set_cache_enabled(true);
-  set_cache_capacity(64);
-  const auto cold = svm.decision_batch(queries);
-  const auto warm = svm.decision_batch(queries);
-  ASSERT_EQ(off.size(), cold.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i], cold[i]) << i;  // exact, not approximate
-    EXPECT_EQ(off[i], warm[i]) << i;
-  }
-  // The warm pass was answered entirely from the cache.
-  EXPECT_EQ(svm.decision_cache().misses(), 40u);  // cold pass only
-  EXPECT_EQ(svm.decision_cache().hits(), 40u);    // warm pass
-  EXPECT_EQ(svm.decision_cache().size(), 10u);
-}
-
-TEST(DecisionCache, EvictionDeterministicAcrossThreadCounts) {
-  cache_state_guard guard;
-  const one_class_svm fitted = fitted_svm();
-  const tensor queries = repeated_queries(48, 12);
-  set_cache_enabled(true);
-  set_cache_capacity(4);  // far below the 12 unique rows: constant churn
-
-  auto run = [&](int threads) {
-    one_class_svm svm = fitted;  // fresh (empty) cache per run
-    set_thread_count(threads);
-    std::vector<double> out = svm.decision_batch(queries);
-    const auto more = svm.decision_batch(queries);
-    out.insert(out.end(), more.begin(), more.end());
-    struct result {
-      std::vector<double> values;
-      std::uint64_t hits, misses, evictions;
-    };
-    return result{std::move(out), svm.decision_cache().hits(),
-                  svm.decision_cache().misses(),
-                  svm.decision_cache().evictions()};
-  };
-  const auto serial = run(1);
-  const auto threaded = run(8);
-  ASSERT_EQ(serial.values.size(), threaded.values.size());
-  for (std::size_t i = 0; i < serial.values.size(); ++i) {
-    EXPECT_EQ(serial.values[i], threaded.values[i]) << i;
-  }
-  // Cache decisions happen at sequential program points, so the stats —
-  // including which rows were evicted when — cannot depend on threads.
-  EXPECT_EQ(serial.hits, threaded.hits);
-  EXPECT_EQ(serial.misses, threaded.misses);
-  EXPECT_EQ(serial.evictions, threaded.evictions);
-  EXPECT_GT(serial.evictions, 0u);
 }
 
 // -- activation cache ----------------------------------------------------------

@@ -141,9 +141,9 @@ TEST(LayerValidator, InlierNegativeOutlierPositiveDiscrepancy) {
   EXPECT_EQ(validator.num_classes(), 2);
 
   const float inlier0[2] = {-10.0f, 0.0f};
-  EXPECT_LT(validator.discrepancy(0, {inlier0, 2}), 0.0);
+  EXPECT_LT(validator.view().discrepancy(0, {inlier0, 2}), 0.0);
   // The same point judged against class 1's reference is an outlier.
-  EXPECT_GT(validator.discrepancy(1, {inlier0, 2}), 0.0);
+  EXPECT_GT(validator.view().discrepancy(1, {inlier0, 2}), 0.0);
 }
 
 TEST(LayerValidator, MissingClassThrows) {
@@ -160,8 +160,8 @@ TEST(LayerValidator, BadPredictedClassThrows) {
   layer_validator validator;
   validator.fit(features, labels, 2, {});
   const float x[2] = {0, 0};
-  EXPECT_THROW(validator.discrepancy(2, {x, 2}), std::out_of_range);
-  EXPECT_THROW(validator.discrepancy(-1, {x, 2}), std::out_of_range);
+  EXPECT_THROW(validator.view().discrepancy(2, {x, 2}), std::out_of_range);
+  EXPECT_THROW(validator.view().discrepancy(-1, {x, 2}), std::out_of_range);
 }
 
 // -- Deep validator (uses the shared trained tiny model) ---------------------------

@@ -1,10 +1,12 @@
 // Tests for the hot-swap seam (serve/engine_handle.h): handle lifecycle,
-// per-batch bank pinning (every frame of one batch scores against one
-// generation), agreement with the sequential path, and the TSan stress —
-// a publisher races fresh banks against submitters flowing through the
-// micro_batcher, and every verdict must match exactly one published
-// generation's threshold. Run under scripts/run_static_analysis.sh's
-// tsan stage to validate the lock-free publish path.
+// the active-generation gauge, per-batch bank pinning (every frame of one
+// batch scores against one generation), agreement with the sequential
+// path, a published epsilon reaching served verdicts, and the TSan
+// stress — a publisher races fresh banks against submitters flowing
+// through the micro_batcher, and every verdict must match exactly one
+// published generation's threshold. Run under
+// scripts/run_static_analysis.sh's tsan stage to validate the lock-free
+// publish path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,12 @@
 #include <vector>
 
 #include "core/deep_validator.h"
+#include "core/monitor.h"
 #include "core/validator_bank.h"
 #include "eval/metrics.h"
 #include "serve/engine_handle.h"
 #include "serve/micro_batcher.h"
+#include "serve/monitor_service.h"
 #include "serve/scoring.h"
 #include "test_util.h"
 #include "util/metrics.h"
@@ -129,6 +133,35 @@ TEST(EngineHandle, PublishRecordsMetrics) {
   EXPECT_TRUE(saw_generation);
 }
 
+/// The gauge tracks hot-swap handles only: a fixed-bank scorer built and
+/// scored beside a handle at generation 7 leaves it at 7.
+TEST(EngineHandle, FixedBankScorerLeavesActiveGenerationAlone) {
+  const auto& dv = fitted_validator();
+  const auto& world = shared_tiny_world();
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::set_clock_frozen(true);
+  metrics::reset();
+  engine_handle handle;
+  for (int g = 1; g <= 7; ++g) (void)handle.publish(bank_with_threshold(1.0));
+  validator_scorer fixed{*world.model, dv};
+  const auto rows = fixed.score(subset_frames(2));
+  const auto snap = metrics::collect();
+  metrics::reset();
+  metrics::set_clock_frozen(false);
+  metrics::set_enabled(was_enabled);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows.front().generation, 1u);
+  double generation = -1.0;
+  double publishes = -1.0;
+  for (const auto& s : snap.samples) {
+    if (s.name == "dv_snapshot_active_generation") generation = s.value;
+    if (s.name == "dv_snapshot_publish_total") publishes = s.value;
+  }
+  EXPECT_EQ(generation, 7.0);
+  EXPECT_EQ(publishes, 7.0);
+}
+
 // -- validator_scorer over a handle -------------------------------------------
 
 TEST(ValidatorScorer, ThrowsBeforeFirstPublish) {
@@ -200,6 +233,32 @@ TEST(ValidatorScorer, BatchPinsOneGenerationWhilePublisherRaces) {
   stop.store(true);
   publisher.join();
   EXPECT_LE(last, handle.generation());
+}
+
+// -- monitor_service over a handle --------------------------------------------
+
+/// A served verdict follows the epsilon of the bank that scored the
+/// frame: publishing a bank with a lower epsilon flips frame_invalid for
+/// the same frame, although the monitor's own validator calls it valid.
+TEST(EngineSwap, PublishedThresholdReachesServedVerdict) {
+  const auto& dv = fitted_validator();
+  const auto& world = shared_tiny_world();
+  runtime_monitor monitor{*world.model, dv};
+  engine_handle handle;
+  (void)handle.publish(bank_with_threshold(1e9));  // flags nothing
+  validator_scorer scorer{*world.model, handle};
+  monitor_service service{scorer, monitor};
+  const tensor frame = world.test.images.sample(0);
+
+  const monitor_verdict before = service.submit(frame).get();
+  EXPECT_FALSE(before.frame_invalid);
+  ASSERT_FALSE(dv.flags_invalid(before.discrepancy));
+
+  (void)handle.publish(bank_with_threshold(-1e9));  // flags everything
+  const monitor_verdict after = service.submit(frame).get();
+  EXPECT_TRUE(after.frame_invalid);
+  EXPECT_EQ(after.discrepancy, before.discrepancy);
+  service.shutdown();
 }
 
 // -- hot-swap stress through the micro_batcher --------------------------------

@@ -278,7 +278,7 @@ TEST(Determinism, KernelMatrixAndSvmBitIdenticalAcrossThreadCounts) {
     const tensor k = kernel_matrix(kernel_kind::rbf, samples, 0.05);
     one_class_svm svm;
     svm.fit(samples, {});
-    return std::make_pair(k, svm.decision_batch(queries));
+    return std::make_pair(k, svm.view().decision_batch(queries));
   };
   const auto serial = with_threads(1, run);
   const auto threaded = with_threads(8, run);
@@ -297,11 +297,12 @@ TEST(Determinism, DecisionBatchMatchesSingleDecision) {
   const tensor queries = tensor::randn({21, 6}, gen);
   one_class_svm svm;
   svm.fit(samples, {});
-  const auto batch = svm.decision_batch(queries);
+  const one_class_svm_view view = svm.view();
+  const auto batch = view.decision_batch(queries);
   ASSERT_EQ(batch.size(), 21u);
   for (std::int64_t i = 0; i < queries.extent(0); ++i) {
     const double single =
-        svm.decision({queries.data() + i * 6, static_cast<std::size_t>(6)});
+        view.decision({queries.data() + i * 6, static_cast<std::size_t>(6)});
     EXPECT_EQ(batch[static_cast<std::size_t>(i)], single) << "query " << i;
   }
 }

@@ -315,7 +315,7 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
   scorer.attach_detector(adapter);
   const auto rows = scorer.score(images);
   ASSERT_EQ(rows.size(), 10u);
-  // The fixed-bank constructor publishes once into its own handle.
+  // The fixed-bank constructor pins its bank as generation 1.
   validator_scorer fixed{*world.model, validator};
   const auto fixed_rows = fixed.score(images);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -424,13 +424,17 @@ TEST(MonitorService, ResetWithRequestsInFlight) {
   const auto& world = shared_tiny_world();
   runtime_monitor monitor{*world.model, fitted_validator(),
                           serving_monitor_config()};
-  // Stub scorer: every frame far above threshold, so the alarm latches.
+  // Stub scorer: every frame far above threshold and flagged, so the
+  // alarm latches.
   class invalid_scorer : public batch_scorer {
    public:
     std::vector<scoring_result> score(const tensor& frames) override {
       std::vector<scoring_result> out(
           static_cast<std::size_t>(frames.extent(0)));
-      for (auto& row : out) row.joint = 1e9;
+      for (auto& row : out) {
+        row.joint = 1e9;
+        row.invalid = true;
+      }
       return out;
     }
   };

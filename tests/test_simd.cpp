@@ -251,7 +251,7 @@ TEST(SimdIdentity, KernelMatrixAndDecisionBatchBitIdenticalAcrossLevels) {
     const tensor k = kernel_matrix(kernel_kind::rbf, samples, gamma);
     one_class_svm svm;
     svm.fit(samples, {});
-    return std::make_pair(k, svm.decision_batch(queries));
+    return std::make_pair(k, svm.view().decision_batch(queries));
   };
   const auto base = at_level(simd_level::scalar, 1, run);
   // The batched row evaluation must also match the per-pair kernel exactly.

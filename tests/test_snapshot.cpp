@@ -3,15 +3,18 @@
 // the corruption contract (EVERY flipped byte and EVERY truncation length
 // raises serialize_error — never UB), and the bitwise-identity matrix — a
 // snapshot-backed validator_bank_view scores byte-identically to the
-// fitted in-memory bank across DV_THREADS x DV_SIMD x DV_CACHE.
+// fitted in-memory bank across DV_THREADS x DV_SIMD x DV_CACHE, and
+// threads sharing one bank score it exactly as a serial caller does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/activation_batch.h"
 #include "core/deep_validator.h"
 #include "core/validator_bank.h"
 #include "core/weighted_joint.h"
@@ -269,6 +272,45 @@ TEST(SnapshotBank, BitwiseIdentityMatrix) {
                      << simd_level_name(lvl) << " cache=" << cache);
         expect_identical_scores(fitted, mapped);
       }
+    }
+  }
+}
+
+/// Immutable banks are thread-safe: threads scoring one shared bank —
+/// builder-backed and snapshot-backed — with DV_CACHE on each get the
+/// bytes serial scoring gets. The TSan stage of
+/// scripts/run_static_analysis.sh flags any mutable state left below a
+/// bank. A pool of one thread runs every parallel region inline on its
+/// caller (util/thread_pool.h runs one region at a time), so the bank is
+/// the only state the scorers share.
+TEST(SnapshotBank, ConcurrentEvaluateMatchesSerial) {
+  knob_guard guard;
+  set_cache_enabled(true);
+  set_thread_count(1);
+  const auto& world = shared_tiny_world();
+  const activation_batch acts =
+      extract_activations(*world.model, subset_frames(32));
+  const validator_bank_view fitted = fitted_validator().bank();
+  const validator_bank_view loaded = validator_bank_view::from_snapshot(
+      snapshot_view::open(fitted_snapshot_path()));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  for (const validator_bank_view* bank : {&fitted, &loaded}) {
+    SCOPED_TRACE(bank == &fitted ? "builder-backed" : "snapshot-backed");
+    const validation_scores serial = bank->evaluate(acts);
+    std::vector<std::vector<validation_scores>> got(kThreads);
+    std::vector<std::thread> scorers;
+    for (int t = 0; t < kThreads; ++t) {
+      scorers.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          got[static_cast<std::size_t>(t)].push_back(bank->evaluate(acts));
+        }
+      });
+    }
+    for (auto& scorer : scorers) scorer.join();
+    for (const auto& rounds : got) {
+      ASSERT_EQ(rounds.size(), static_cast<std::size_t>(kRounds));
+      for (const auto& scores : rounds) expect_identical_scores(serial, scores);
     }
   }
 }

@@ -67,7 +67,7 @@ TEST(OneClassSvm, FitRejectsBadInputs) {
 TEST(OneClassSvm, DecisionBeforeFitThrows) {
   one_class_svm svm;
   const float x[2] = {0, 0};
-  EXPECT_THROW(svm.decision({x, 2}), std::logic_error);
+  EXPECT_THROW(svm.view().decision({x, 2}), std::logic_error);
 }
 
 TEST(OneClassSvm, InliersPositiveOutliersNegative) {
@@ -79,9 +79,9 @@ TEST(OneClassSvm, InliersPositiveOutliersNegative) {
   EXPECT_TRUE(svm.fitted());
 
   const float center[2] = {0.0f, 0.0f};
-  EXPECT_GT(svm.decision({center, 2}), 0.0);
+  EXPECT_GT(svm.view().decision({center, 2}), 0.0);
   const float far_away[2] = {25.0f, -30.0f};
-  EXPECT_LT(svm.decision({far_away, 2}), 0.0);
+  EXPECT_LT(svm.view().decision({far_away, 2}), 0.0);
 }
 
 TEST(OneClassSvm, OutlierFractionRespectsNuBound) {
@@ -93,7 +93,7 @@ TEST(OneClassSvm, OutlierFractionRespectsNuBound) {
   std::int64_t negatives = 0;
   for (std::int64_t i = 0; i < 400; ++i) {
     const float x[2] = {blob.at2(i, 0), blob.at2(i, 1)};
-    negatives += svm.decision({x, 2}) < 0.0 ? 1 : 0;
+    negatives += svm.view().decision({x, 2}) < 0.0 ? 1 : 0;
   }
   // nu upper-bounds the training outlier fraction (within solver slack).
   EXPECT_LT(static_cast<double>(negatives) / 400.0, 0.2 + 0.08);
@@ -112,7 +112,7 @@ TEST(OneClassSvm, DecisionDecreasesOutsideSupport) {
   svm.fit(blob, cfg);
   const auto at = [&](double r) {
     const float x[2] = {static_cast<float>(r), 0.0f};
-    return svm.decision({x, 2});
+    return svm.view().decision({x, 2});
   };
   double prev = at(3.0);
   for (double r = 4.0; r <= 10.0; r += 1.0) {
@@ -156,7 +156,8 @@ TEST(OneClassSvm, LinearKernelSeparatesShiftedBlob) {
   svm.fit(blob, cfg);
   const float inlier[2] = {5.0f, 5.0f};
   const float outlier[2] = {-5.0f, -5.0f};
-  EXPECT_GT(svm.decision({inlier, 2}), svm.decision({outlier, 2}));
+  const one_class_svm_view view = svm.view();
+  EXPECT_GT(view.decision({inlier, 2}), view.decision({outlier, 2}));
 }
 
 TEST(OneClassSvm, DimensionMismatchThrows) {
@@ -164,7 +165,7 @@ TEST(OneClassSvm, DimensionMismatchThrows) {
   one_class_svm svm;
   svm.fit(blob, {});
   const float x[3] = {0, 0, 0};
-  EXPECT_THROW(svm.decision({x, 3}), std::invalid_argument);
+  EXPECT_THROW(svm.view().decision({x, 3}), std::invalid_argument);
 }
 
 class SvmNuSweep : public ::testing::TestWithParam<double> {};
